@@ -26,8 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import gammaln
-
 __all__ = ["UniformCostModel"]
 
 
@@ -75,7 +73,7 @@ class UniformCostModel:
         if not 1 <= k <= self.n_points:
             raise ValueError(f"k={k} outside [1, {self.n_points}]")
         d = self.dim
-        log_unit_ball = (d / 2.0) * math.log(math.pi) - gammaln(d / 2.0 + 1.0)
+        log_unit_ball = (d / 2.0) * math.log(math.pi) - math.lgamma(d / 2.0 + 1.0)
         log_r = (math.log(k / self.n_points) - log_unit_ball) / d
         return math.exp(log_r)
 

@@ -18,10 +18,10 @@ staleness (the table keeps naming a killed replica).  The invariant:
 * **anti-entropy heals without refitting** -- a corrupt artifact
   planted before the storm is adopted bit-identically from a peer
   (``"adopted"`` in the store's events, zero ``"rebuilt"``);
-* **per-shard op sums reconcile exactly** three ways: the router's
+* **per-shard op sums reconcile exactly** four ways: the router's
   drained per-leg sums == the sum over every replica's ledgers
   (including ledgers retired by kills) == the sum over the responses'
-  own legs.
+  own legs == the per-epoch books summed across epochs.
 
 **The controller axis** (``controller=True``) hands the topology to
 the autonomous loop instead of the operator: the storm starts
@@ -60,7 +60,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import PredictionError, StaleRoutingEpochError
+from ..runtime.storm import HANG_TIMEOUT_S, StormOutcome
 from ..service.server import WorkerDeath
+from ..workload.queries import density_biased_knn_workload
 from .cluster import PredictionCluster
 from .replicas import shard_tenant
 
@@ -70,18 +72,6 @@ __all__ = [
     "assert_cluster_invariant",
     "run_cluster_chaos",
 ]
-
-#: error types a cluster-level error verdict may carry
-_TYPED_ERRORS = frozenset({
-    "ReplicaUnavailableError",
-    "DeadlineExceededError",
-    "ServiceOverloadedError",
-    "TenantQuotaExceededError",
-    "WorkerDeath",
-})
-
-#: how long any single verdict may take before the sweep calls it hung
-_HANG_TIMEOUT_S = 30.0
 
 
 @dataclass(frozen=True)
@@ -138,18 +128,26 @@ class ClusterChaosScenario:
     coalesce: bool = False
 
 
-@dataclass
-class ClusterChaosOutcome:
-    """What one storm observed, classified request by request."""
+@dataclass(kw_only=True)
+class ClusterChaosOutcome(StormOutcome):
+    """What one storm observed, classified request by request.
 
-    scenario: ClusterChaosScenario
-    classified: Counter = field(default_factory=Counter)
-    violations: list[str] = field(default_factory=list)
-    reconciliation: dict = field(default_factory=dict)
+    ``reconciliation`` holds four op sums per shard that must agree:
+    the router's drained legs, every replica generation's ledgers, the
+    responses' own legs, and the per-epoch books summed across epochs.
+    """
+
+    typed_errors = frozenset({
+        "ReplicaUnavailableError",
+        "DeadlineExceededError",
+        "ServiceOverloadedError",
+        "TenantQuotaExceededError",
+        "WorkerDeath",
+    })
+
     healed: list[dict] = field(default_factory=list)
     rebuilds: int = 0
     router: dict = field(default_factory=dict)
-    causes_seen: Counter = field(default_factory=Counter)
     #: topology events (scale-out/in, splits) the storm performed
     topology: list = field(default_factory=list)
     #: charged ops per routing epoch per shard (epoch fence books)
@@ -161,17 +159,14 @@ class ClusterChaosOutcome:
     #: controller-axis summary: shard counts and the loop's own report
     controller: dict = field(default_factory=dict)
 
-    @property
-    def total_requests(self) -> int:
-        return sum(self.classified.values())
+    def has_record(self, response) -> bool:
+        # a failover must name every candidate it passed over; a
+        # degraded verdict carries its cause and is not checked further
+        return response.failover_from is None or bool(response.tried)
 
     def summary(self) -> dict:
         return {
-            "seed": self.scenario.seed,
-            "requests": self.total_requests,
-            "classified": dict(self.classified),
-            "causes_seen": dict(self.causes_seen),
-            "violations": list(self.violations),
+            **super().summary(),
             "healed": list(self.healed),
             "rebuilds": self.rebuilds,
             "router": self.router,
@@ -183,10 +178,22 @@ class ClusterChaosOutcome:
                 str(epoch): {str(s): int(v) for s, v in book.items()}
                 for epoch, book in sorted(self.epoch_books.items())
             },
-            "reconciliation": {
-                str(k): v for k, v in self.reconciliation.items()
-            },
         }
+
+
+def two_blob_dataset(rng, *, n_points, dim, n_shards, k):
+    """The cluster storms' data and tuning workload.
+
+    Two gaussian blobs pulled apart, so the similarity partition has
+    real structure to find and the shards genuinely differ.
+    """
+    half = n_points // 2
+    data = np.vstack([
+        rng.normal(loc=0.0, scale=1.0, size=(half, dim)),
+        rng.normal(loc=6.0, scale=0.5, size=(n_points - half, dim)),
+    ])
+    tuning = density_biased_knn_workload(data, max(16, 4 * n_shards), k, rng)
+    return data, tuning
 
 
 def run_cluster_chaos(
@@ -196,15 +203,10 @@ def run_cluster_chaos(
     rng = np.random.default_rng(scenario.seed)
     outcome = ClusterChaosOutcome(scenario=scenario)
 
-    # Two gaussian blobs pulled apart so the similarity partition has
-    # real structure to find (and the shards genuinely differ).
-    half = scenario.n_points // 2
-    data = np.vstack([
-        rng.normal(loc=0.0, scale=1.0, size=(half, scenario.dim)),
-        rng.normal(loc=6.0, scale=0.5,
-                   size=(scenario.n_points - half, scenario.dim)),
-    ])
-    tuning = _tuning_workload(data, rng, scenario)
+    data, tuning = two_blob_dataset(
+        rng, n_points=scenario.n_points, dim=scenario.dim,
+        n_shards=scenario.n_shards, k=scenario.k,
+    )
 
     latency_factors = {}
     if scenario.slow_replica:
@@ -235,6 +237,23 @@ def run_cluster_chaos(
         )
         outcome.controller["shards_start"] = len(cluster.active_shards())
 
+    def heal(when: str, *, mid_storm: bool = True) -> dict:
+        """One anti-entropy pass.  Every heal in this storm has a
+        verified peer copy, so a rebuild from data is a violation."""
+        report = cluster.anti_entropy()
+        rebuilt = [s for s, entry in report.items()
+                   if entry["rebuilt"] is not None]
+        if rebuilt:
+            outcome.violations.append(
+                f"{when} heal rebuilt shard(s) {rebuilt} from data "
+                f"although verified peers existed"
+            )
+        if mid_storm:
+            outcome.warm_heals += sum(
+                len(entry["healed"]) for entry in report.values()
+            )
+        return report
+
     # --- pre-storm corruption + anti-entropy heal ---------------------
     shard0_owners = cluster.router.table.owners_of(0)
     victims = list(shard0_owners[:scenario.corrupt_replicas])
@@ -244,18 +263,12 @@ def run_cluster_chaos(
     }
     for name in victims:
         cluster.corrupt_artifact(name, 0)
-    heal_report = cluster.anti_entropy()
-    outcome.healed = heal_report[0]["healed"]
+    outcome.healed = heal("pre-storm", mid_storm=False)[0]["healed"]
     healed_names = {entry["replica"] for entry in outcome.healed}
     if healed_names != set(victims):
         outcome.violations.append(
             f"anti-entropy healed {sorted(healed_names)}, "
             f"expected {sorted(victims)}"
-        )
-    if heal_report[0]["rebuilt"] is not None:
-        outcome.violations.append(
-            "anti-entropy rebuilt from data although a verified peer "
-            "copy existed"
         )
     for name in victims:
         healed_bytes = cluster.replicas[name].artifact_path(0).read_bytes()
@@ -301,7 +314,9 @@ def run_cluster_chaos(
     references: dict[int, np.ndarray] = {}
 
     def install_reference(shard: int) -> None:
-        workload = _shard_workload(cluster, shard, rng, scenario)
+        workload = shard_workload(
+            cluster, shard, scenario.n_queries, scenario.k, rng
+        )
         workloads[shard] = workload
         for owner in cluster.router.table.owners_of(shard):
             replica = cluster.replicas[owner]
@@ -342,6 +357,14 @@ def run_cluster_chaos(
     def downs() -> int:
         return sum(1 for r in cluster.replicas.values() if r.down)
 
+    def send(shard: int, method: str = "warm", **kwargs) -> None:
+        """One request, filed with the submit-time down count and owner
+        set the single-kill availability rule is judged against."""
+        down, owners = downs(), cluster.router.table.owners_of(shard)
+        response = cluster.request(shard, workloads[shard], method=method,
+                                   **kwargs)
+        responses.append((shard, down, method, owners, response))
+
     def probe_stale(shard: int, pinned_epoch: int) -> None:
         """Pin the fenced-off epoch: the dispatch must be refused with
         the typed error, and the un-pinned retry must serve normally
@@ -355,11 +378,7 @@ def run_cluster_chaos(
                 f"dispatch pinned to fenced-off epoch {pinned_epoch} "
                 f"(shard {shard}) was not refused"
             )
-        retry = cluster.request(shard, workloads[shard])
-        responses.append((
-            shard, downs(), "warm",
-            cluster.router.table.owners_of(shard), retry,
-        ))
+        send(shard)
 
     # Controller-axis schedule: the merge fires on tick ``dwell`` (the
     # pair is a candidate from tick 1 and must persist the dwell
@@ -409,17 +428,7 @@ def run_cluster_chaos(
                 cluster.restart_replica(merge_victim)
                 merge_victim = None
             if heal_pending:
-                heal = cluster.anti_entropy()
-                outcome.warm_heals += sum(
-                    len(entry["healed"]) for entry in heal.values()
-                )
-                rebuilt = [s for s, entry in heal.items()
-                           if entry["rebuilt"] is not None]
-                if rebuilt:
-                    outcome.violations.append(
-                        f"post-merge heal rebuilt shard(s) {rebuilt} "
-                        f"from data although verified peers existed"
-                    )
+                heal("post-merge")
                 heal_pending = False
 
     try:
@@ -453,18 +462,7 @@ def run_cluster_chaos(
                         f"scale-out warmed shard 0 from the corrupted "
                         f"donor {donor0}"
                     )
-                # heal the sabotaged donor mid-storm, from a peer
-                heal = cluster.anti_entropy()
-                outcome.warm_heals += sum(
-                    len(entry["healed"]) for entry in heal.values()
-                )
-                rebuilt = [s for s, entry in heal.items()
-                           if entry["rebuilt"] is not None]
-                if rebuilt:
-                    outcome.violations.append(
-                        f"mid-storm heal rebuilt shard(s) {rebuilt} from "
-                        f"data although verified peers existed"
-                    )
+                heal("mid-storm")  # the sabotaged donor, from a peer
                 probe_stale(0, pre_epoch)
             if round_i == scale_kill_at and scaled_name is not None:
                 cluster.kill_replica(scaled_name)
@@ -521,56 +519,62 @@ def run_cluster_chaos(
             # -- the drop in demand is what justifies shrinking.
             reps = 2 if scenario.controller and round_i < decay_at else 1
             for shard in cluster.active_shards():
-                down = downs()
-                owners_at_submit = cluster.router.table.owners_of(shard)
                 for _ in range(reps):
-                    response = cluster.request(shard, workloads[shard])
-                    responses.append(
-                        (shard, down, "warm", owners_at_submit, response)
-                    )
+                    send(shard)
                 if round_i % 3 == 2:
                     # A charged full-method request per shard every
                     # third round keeps the reconciliation sums nonzero
                     # -- warm requests charge no I/O, and an invariant
                     # over all-zero books proves nothing.
-                    full = cluster.request(
-                        shard, workloads[shard], method="cutoff",
-                        seed=round_i,
-                    )
-                    responses.append(
-                        (shard, down, "cutoff", owners_at_submit, full)
-                    )
-        cluster.wait_idle(_HANG_TIMEOUT_S)
+                    send(shard, "cutoff", seed=round_i)
+        cluster.wait_idle(HANG_TIMEOUT_S)
+        response_ops = Counter()
         for shard, down_at_submit, method, owners, response in responses:
-            _classify(
-                outcome, shard, down_at_submit, method, owners,
-                response, references,
+            response_ops[shard] += response.charged_ops()
+            label = f"request {response.request_id} (shard {shard})"
+            # Bit-identity is a *warm* guarantee: every owner holds the
+            # same fitted geometry.  Full methods sample afresh.
+            outcome.classify(
+                response, label,
+                expected=references[shard] if method == "warm" else None,
             )
+            # Single-kill availability: with at most one replica down
+            # and a second owner listed at submit time (``owners`` is
+            # the submit-time set -- a retired shard has no final
+            # owners), no verdict may end unavailable.
+            unavailable = (response.method_used == "closed_form"
+                           or response.error_type
+                           == "ReplicaUnavailableError")
+            if unavailable and down_at_submit <= 1 and len(owners) >= 2:
+                outcome.violations.append(
+                    f"{label} unavailable although a healthy peer owned "
+                    f"the shard (down={down_at_submit}, "
+                    f"tried={response.tried})"
+                )
 
-        # --- reconciliation: three per-shard sums must agree ----------
+        # --- reconciliation: four per-shard sums must agree -----------
         # Over every shard that ever carried traffic -- retired parents
         # included: a split must not make a parent's charges vanish.
-        router_ops = cluster.router.drain(timeout_s=_HANG_TIMEOUT_S)
-        all_shards = sorted(
-            {s for (s, *_rest) in responses} | set(cluster.active_shards())
-        )
-        for shard in all_shards:
-            from_responses = sum(
-                r.charged_ops()
-                for (s, _, _, _, r) in responses if s == shard
-            )
-            outcome.reconciliation[shard] = {
+        # Summed across epochs, the per-epoch books must equal the
+        # drained sums to the op: the two-epoch overlap of every
+        # handoff is exactly attributed, never double-counted.
+        router_ops = cluster.router.drain(timeout_s=HANG_TIMEOUT_S)
+        epoch_ops = Counter()
+        for epoch, book in cluster.router.epoch_ops(
+            timeout_s=HANG_TIMEOUT_S
+        ).items():
+            outcome.epoch_books[epoch] = dict(book)
+            epoch_ops.update(book)
+        outcome.reconcile({
+            shard: {
                 "router_ops": int(router_ops.get(shard, 0)),
                 "replica_ops": cluster.charged_ops(shard),
-                "response_ops": int(from_responses),
+                "response_ops": int(response_ops[shard]),
+                "epoch_ops": int(epoch_ops[shard]),
             }
-        # --- and the epoch books must sum to the same totals ----------
-        outcome.epoch_books = {
-            epoch: dict(book)
-            for epoch, book in cluster.router.epoch_ops(
-                timeout_s=_HANG_TIMEOUT_S
-            ).items()
-        }
+            for shard in sorted(set(response_ops)
+                                | set(cluster.active_shards()))
+        })
         outcome.router = cluster.router.metrics()
         if controller is not None:
             report = controller.report()
@@ -586,130 +590,18 @@ def run_cluster_chaos(
     return outcome
 
 
-def _tuning_workload(data, rng, scenario):
-    from ..workload.queries import density_biased_knn_workload
-    return density_biased_knn_workload(
-        data, max(4 * scenario.n_shards, 16), scenario.k, rng
-    )
-
-
-def _shard_workload(cluster, shard, rng, scenario):
+def shard_workload(cluster, shard, n_queries, k, rng):
     """A workload whose queries all belong to one shard: drawn from the
     shard's own points, radii against the shard's points (matching what
     the shard's tenant serves)."""
-    from ..workload.queries import density_biased_knn_workload
     return density_biased_knn_workload(
-        cluster.shard_points[shard], scenario.n_queries, scenario.k, rng
+        cluster.shard_points[shard], n_queries, k, rng
     )
-
-
-def _classify(outcome, shard, down_at_submit, method, owners,
-              response, references) -> None:
-    """File one verdict under its terminal state (or violation).
-
-    ``owners`` is the owner set *at submit time*: once topology can
-    change mid-storm, the final table would mis-attribute requests
-    admitted under an earlier epoch (a retired shard has no final
-    owners at all).
-    """
-    if response.cause:
-        outcome.causes_seen[response.cause] += 1
-    if response.status == "ok":
-        # Bit-identity is a *warm* guarantee: the fitted geometries are
-        # identical across a shard's owners, so any owner's warm answer
-        # must equal the unloaded reference.  Full methods run fresh
-        # sampled predictions -- correct, but not byte-comparable.
-        if method == "warm" and not np.array_equal(
-            response.result.per_query, references[shard]
-        ):
-            outcome.classified["mismatch"] += 1
-            outcome.violations.append(
-                f"request {response.request_id} (shard {shard}) served "
-                f"by {response.served_by} diverged from the reference"
-            )
-            return
-        if response.failover_from is not None:
-            if not response.tried:
-                outcome.classified["mismatch"] += 1
-                outcome.violations.append(
-                    f"failover request {response.request_id} carries no "
-                    f"causal record"
-                )
-                return
-            outcome.classified["failover"] += 1
-        elif method == "warm":
-            outcome.classified["identical"] += 1
-        else:
-            outcome.classified["served"] += 1
-    elif response.status == "degraded":
-        if response.method_used == "closed_form":
-            outcome.classified["degraded"] += 1
-            # Single-kill availability: closed-form may only be served
-            # when *no* owner of the shard was up -- with at most one
-            # replica down and replication >= 2, this is a violation.
-            if down_at_submit <= 1 and len(owners) >= 2:
-                outcome.violations.append(
-                    f"request {response.request_id} (shard {shard}) "
-                    f"degraded to closed-form although a healthy peer "
-                    f"owned the shard (down={down_at_submit}, "
-                    f"tried={response.tried})"
-                )
-        else:
-            # The facade's own degradation chain ran on the serving
-            # replica -- a shard-level success with a causal record.
-            outcome.classified["facade_degraded"] += 1
-    elif response.status == "error":
-        if response.error_type in _TYPED_ERRORS:
-            outcome.classified["typed_error"] += 1
-            if (response.error_type == "ReplicaUnavailableError"
-                    and down_at_submit <= 1 and len(owners) >= 2):
-                outcome.violations.append(
-                    f"request {response.request_id} (shard {shard}) "
-                    f"unavailable although a healthy peer owned the "
-                    f"shard (tried={response.tried})"
-                )
-        else:
-            outcome.classified["untyped_error"] += 1
-            outcome.violations.append(
-                f"request {response.request_id} (shard {shard}) failed "
-                f"with untyped {response.error_type}: {response.error}"
-            )
-    else:
-        outcome.violations.append(
-            f"request {response.request_id} ended in unknown status "
-            f"{response.status!r}"
-        )
 
 
 def assert_cluster_invariant(outcome: ClusterChaosOutcome) -> None:
     """The cluster invariant, as one assertion."""
-    assert not outcome.violations, (
-        "cluster invariant violated:\n  "
-        + "\n  ".join(outcome.violations)
-    )
-    assert outcome.classified.get("hung", 0) == 0
-    assert outcome.classified.get("mismatch", 0) == 0
-    assert outcome.classified.get("untyped_error", 0) == 0
-    for shard, sums in outcome.reconciliation.items():
-        assert (sums["router_ops"] == sums["replica_ops"]
-                == sums["response_ops"]), (
-            f"shard {shard} op sums do not reconcile: {sums} "
-            f"(a charge leaked or went missing across failover)"
-        )
-    if outcome.epoch_books:
-        # Summed across epochs, the per-epoch books must equal the
-        # drained per-shard sums to the op: the two-epoch overlap of
-        # every handoff is exactly attributed, never double-counted.
-        across = Counter()
-        for book in outcome.epoch_books.values():
-            across.update(book)
-        for shard, sums in outcome.reconciliation.items():
-            assert int(across.get(shard, 0)) == sums["router_ops"], (
-                f"shard {shard}: epoch books sum to "
-                f"{int(across.get(shard, 0))} but the router drained "
-                f"{sums['router_ops']} (a charge crossed the epoch "
-                f"fence unattributed)"
-            )
+    outcome.assert_clean("cluster")
     if outcome.scenario.scale_events:
         assert outcome.stale_rejections > 0, (
             "topology storm ran but no stale-epoch probe was refused "

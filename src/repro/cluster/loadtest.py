@@ -31,23 +31,29 @@ instead: a cluster under closed-loop load scales out mid-window -- a
 new replica is built, warmed from peer bytes, and fenced in under a
 new routing epoch while the clients keep hammering.  The committed
 ``BENCH_elasticity.json`` must show the handoff was absorbed (zero
-errors across the epoch change) and that the added capacity actually
-bought throughput (post-scale >= pre-scale): the starting replicas
-carry a small synthetic per-request delay and the scaled-out replica
-does not, so if routing really moves traffic to the new primary the
-improvement is structural, not noise.
+errors across the epoch change) and that routing followed the new
+table (post-scale >= pre-scale).  That ratio is synthetic: the
+starting replicas carry a small per-request delay and the scaled-out
+replica does not, so it measures traffic moving onto the undelayed
+replica, not added capacity.  The payload records the delay
+(``baseline_slow_s``) and the new replica's advertised cost
+(``scale_latency_factor``) next to it.
+
+Every load test here runs on :class:`~repro.runtime.storm.ClosedLoop`.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import cache, partial
 
 import numpy as np
 
+from ..runtime.storm import ClosedLoop, percentiles, record_of
 from ..service.server import PredictionService
 from ..workload.queries import density_biased_knn_workload
+from .chaos import shard_workload, two_blob_dataset
 from .cluster import PredictionCluster
 
 __all__ = [
@@ -60,65 +66,56 @@ __all__ = [
 ]
 
 
-def _percentiles(latencies_s: list[float]) -> dict:
-    if not latencies_s:
-        return {"p50": 0.0, "p95": 0.0, "p99": 0.0, "mean": 0.0, "max": 0.0}
-    ms = np.asarray(latencies_s) * 1e3
-    return {
-        "p50": round(float(np.percentile(ms, 50)), 3),
-        "p95": round(float(np.percentile(ms, 95)), 3),
-        "p99": round(float(np.percentile(ms, 99)), 3),
-        "mean": round(float(ms.mean()), 3),
-        "max": round(float(ms.max()), 3),
-    }
+def _build_cluster(*, seed, n_points, dim, n_shards, k, **cluster_kwargs):
+    """The two-blob data and a fresh cluster over it."""
+    data, tuning = two_blob_dataset(
+        np.random.default_rng(seed), n_points=n_points, dim=dim,
+        n_shards=n_shards, k=k,
+    )
+    cluster = PredictionCluster(
+        data, tuning, n_shards=n_shards, fit_seed=seed, seed=seed,
+        **cluster_kwargs,
+    )
+    return data, cluster
+
+
+def _one_request(request):
+    """A closed-loop client step that makes one request."""
+    return lambda: [record_of(request())]
+
+
+def _shard_clients(cluster, n_queries, k, seed) -> list:
+    """One closed-loop client per active shard, hammering its shard."""
+    return [
+        _one_request(partial(
+            cluster.request, shard,
+            shard_workload(cluster, shard, n_queries, k,
+                           np.random.default_rng(seed + shard)),
+        ))
+        for shard in cluster.active_shards()
+    ]
 
 
 @dataclass
 class ClusterLoadTestResult:
-    """One routed-vs-single window, summarized for the benchmark file."""
+    """One routed-vs-single window, summarized for the benchmark file.
+
+    ``cluster`` counts the routed side's verdicts (``ok`` includes the
+    ``failover`` ones) with overall and failover-only latency
+    percentiles; ``single`` is the equal-worker single-service baseline.
+    """
 
     duration_s: float
     n_shards: int
     n_replicas: int
     replication: int
     workers_total: int
-    cluster_resolved: int = 0
-    cluster_ok: int = 0
-    cluster_failover: int = 0
-    cluster_degraded: int = 0
-    cluster_errors: int = 0
-    cluster_throughput_rps: float = 0.0
-    cluster_latency: dict = field(default_factory=dict)
-    failover_latency: dict = field(default_factory=dict)
-    single_resolved: int = 0
-    single_throughput_rps: float = 0.0
-    single_latency: dict = field(default_factory=dict)
+    cluster: dict = field(default_factory=dict)
+    single: dict = field(default_factory=dict)
     router: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "duration_s": self.duration_s,
-            "n_shards": self.n_shards,
-            "n_replicas": self.n_replicas,
-            "replication": self.replication,
-            "workers_total": self.workers_total,
-            "cluster": {
-                "resolved": self.cluster_resolved,
-                "ok": self.cluster_ok,
-                "failover": self.cluster_failover,
-                "degraded": self.cluster_degraded,
-                "errors": self.cluster_errors,
-                "throughput_rps": round(self.cluster_throughput_rps, 1),
-                "latency_ms": self.cluster_latency,
-                "failover_latency_ms": self.failover_latency,
-            },
-            "single": {
-                "resolved": self.single_resolved,
-                "throughput_rps": round(self.single_throughput_rps, 1),
-                "latency_ms": self.single_latency,
-            },
-            "router": self.router,
-        }
+        return asdict(self)
 
 
 def run_cluster_loadtest(
@@ -143,66 +140,12 @@ def run_cluster_loadtest(
     restarted at 2t/3, so the window contains a whole failover-and-
     recovery cycle and the failover percentiles are populated.
     """
-    rng = np.random.default_rng(seed)
-    half = n_points // 2
-    data = np.vstack([
-        rng.normal(loc=0.0, scale=1.0, size=(half, dim)),
-        rng.normal(loc=6.0, scale=0.5, size=(n_points - half, dim)),
-    ])
-    tuning = density_biased_knn_workload(data, max(16, 4 * n_shards), k, rng)
-
-    result = ClusterLoadTestResult(
-        duration_s=duration_s, n_shards=n_shards, n_replicas=n_replicas,
-        replication=replication,
-        workers_total=n_replicas * workers_per_replica,
+    data, cluster = _build_cluster(
+        seed=seed, n_points=n_points, dim=dim, n_shards=n_shards, k=k,
+        artifact_root=artifact_root, n_replicas=n_replicas,
+        replication=replication, workers_per_replica=workers_per_replica,
+        memory=memory,
     )
-    lock = threading.Lock()
-    latencies: list[float] = []
-    failover_latencies: list[float] = []
-
-    cluster = PredictionCluster(
-        data, tuning,
-        artifact_root=artifact_root,
-        n_shards=n_shards, n_replicas=n_replicas,
-        replication=replication,
-        workers_per_replica=workers_per_replica,
-        memory=memory, fit_seed=seed, seed=seed,
-    )
-    workloads = {
-        shard: density_biased_knn_workload(
-            cluster.shard_points[shard], n_queries, k,
-            np.random.default_rng(seed + shard),
-        )
-        for shard in range(n_shards)
-    }
-
-    def shard_client(shard: int) -> None:
-        resolved = ok = failover = degraded = errors = 0
-        local: list[float] = []
-        local_failover: list[float] = []
-        stop_at = time.monotonic() + duration_s
-        while time.monotonic() < stop_at:
-            response = cluster.request(shard, workloads[shard])
-            resolved += 1
-            local.append(response.latency_s)
-            if response.status == "ok":
-                ok += 1
-                if response.failover_from is not None:
-                    failover += 1
-                    local_failover.append(response.latency_s)
-            elif response.status == "degraded":
-                degraded += 1
-            else:
-                errors += 1
-        with lock:
-            result.cluster_resolved += resolved
-            result.cluster_ok += ok
-            result.cluster_failover += failover
-            result.cluster_degraded += degraded
-            result.cluster_errors += errors
-            latencies.extend(local)
-            failover_latencies.extend(local_failover)
-
     primary0 = cluster.router.table.owners_of(0)[0]
 
     def chaos_operator() -> None:
@@ -212,29 +155,15 @@ def run_cluster_loadtest(
         cluster.restart_replica(primary0)
 
     try:
-        threads = [
-            threading.Thread(target=shard_client, args=(shard,),
-                             daemon=True)
-            for shard in range(n_shards)
-        ]
-        if kill_mid_window:
-            threads.append(
-                threading.Thread(target=chaos_operator, daemon=True)
-            )
-        started = time.monotonic()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        elapsed = time.monotonic() - started
-        result.cluster_throughput_rps = result.cluster_resolved / max(
-            elapsed, 1e-9
+        routed = ClosedLoop().run(
+            _shard_clients(cluster, n_queries, k, seed), duration_s,
+            chaos_operator if kill_mid_window else None,
         )
-        result.cluster_latency = _percentiles(latencies)
-        result.failover_latency = _percentiles(failover_latencies)
-        result.router = cluster.router.metrics()
+        router = cluster.router.metrics()
     finally:
         cluster.stop()
+    counts = routed.counts()
+    whole = routed.window("start", "end")
 
     # --- single-service baseline: same total workers, one tenant ------
     service = PredictionService(
@@ -244,36 +173,31 @@ def run_cluster_loadtest(
     baseline_workload = density_biased_knn_workload(
         data, n_queries, k, np.random.default_rng(seed)
     )
-    single_latencies: list[float] = []
-
-    def single_client() -> None:
-        resolved = 0
-        local: list[float] = []
-        stop_at = time.monotonic() + duration_s
-        while time.monotonic() < stop_at:
-            response = service.request("all", baseline_workload)
-            resolved += 1
-            local.append(response.latency_s)
-        with lock:
-            result.single_resolved += resolved
-            single_latencies.extend(local)
-
     with service:
-        threads = [
-            threading.Thread(target=single_client, daemon=True)
-            for _ in range(n_shards)
-        ]
-        started = time.monotonic()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        elapsed = time.monotonic() - started
-    result.single_throughput_rps = result.single_resolved / max(
-        elapsed, 1e-9
+        single = ClosedLoop().run(
+            [_one_request(partial(service.request, "all", baseline_workload))
+             for _ in range(n_shards)],
+            duration_s,
+        ).window("start", "end")
+
+    return ClusterLoadTestResult(
+        duration_s=duration_s, n_shards=n_shards, n_replicas=n_replicas,
+        replication=replication,
+        workers_total=n_replicas * workers_per_replica,
+        cluster={
+            **whole,
+            "ok": counts["ok"] + counts["failover"],
+            "failover": counts["failover"],
+            "degraded": counts["degraded"],
+            "failover_latency_ms": percentiles(
+                end - start for start, end, status in routed.records
+                if status == "failover"
+            ),
+        },
+        single={key: single[key]
+                for key in ("resolved", "throughput_rps", "latency_ms")},
+        router=router,
     )
-    result.single_latency = _percentiles(single_latencies)
-    return result
 
 
 @dataclass
@@ -284,13 +208,20 @@ class ElasticityLoadTestResult:
     ``post`` requests started after the new table was installed, and
     ``mid`` everything straddling the handoff -- the requests the
     epoch fence must absorb without a single dropped or errored
-    response.  ``post_over_pre`` is the throughput ratio the benchmark
-    asserts on.
+    response.
+
+    ``post_over_pre`` is the throughput ratio the benchmark asserts on.
+    It is a *routing* ratio, not added capacity: the starting replicas
+    carry ``baseline_slow_s`` of synthetic per-request delay, and the
+    added replica carries none and advertises ``scale_latency_factor``
+    so the router moves primary traffic onto it.
     """
 
     duration_s: float
     n_shards: int
     n_replicas_start: int
+    baseline_slow_s: float
+    scale_latency_factor: float
     scale: dict = field(default_factory=dict)
     pre: dict = field(default_factory=dict)
     mid: dict = field(default_factory=dict)
@@ -300,18 +231,7 @@ class ElasticityLoadTestResult:
     router: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "duration_s": self.duration_s,
-            "n_shards": self.n_shards,
-            "n_replicas_start": self.n_replicas_start,
-            "scale": self.scale,
-            "pre": self.pre,
-            "mid": self.mid,
-            "post": self.post,
-            "errors": self.errors,
-            "post_over_pre": round(self.post_over_pre, 3),
-            "router": self.router,
-        }
+        return asdict(self)
 
 
 def run_elasticity_loadtest(
@@ -338,129 +258,49 @@ def run_elasticity_loadtest(
     ``scale_latency_factor`` advertises it as the cheapest owner, so
     the router's cost ordering moves primary traffic onto it the
     moment the new epoch's table lands.  Post-scale throughput beating
-    pre-scale is therefore a *routing* claim, not a load-average
-    accident.
+    pre-scale therefore shows that routing followed the new table; its
+    size is set by the synthetic delay, not by added capacity.
     """
-    rng = np.random.default_rng(seed)
-    half = n_points // 2
-    data = np.vstack([
-        rng.normal(loc=0.0, scale=1.0, size=(half, dim)),
-        rng.normal(loc=6.0, scale=0.5, size=(n_points - half, dim)),
-    ])
-    tuning = density_biased_knn_workload(data, max(16, 4 * n_shards), k, rng)
-
-    result = ElasticityLoadTestResult(
-        duration_s=duration_s, n_shards=n_shards,
-        n_replicas_start=n_replicas,
-    )
-    lock = threading.Lock()
-    #: (t_start, t_end, status) per resolved request
-    records: list[tuple[float, float, str]] = []
-    marks: dict[str, float] = {}
-    failures: list[BaseException] = []
-
-    cluster = PredictionCluster(
-        data, tuning,
-        artifact_root=artifact_root,
-        n_shards=n_shards, n_replicas=n_replicas,
-        replication=replication,
-        workers_per_replica=workers_per_replica,
-        memory=memory, fit_seed=seed, seed=seed,
+    _, cluster = _build_cluster(
+        seed=seed, n_points=n_points, dim=dim, n_shards=n_shards, k=k,
+        artifact_root=artifact_root, n_replicas=n_replicas,
+        replication=replication, workers_per_replica=workers_per_replica,
+        memory=memory,
     )
     for replica in cluster.replicas.values():
         replica.slow_s = baseline_slow_s
-    workloads = {
-        shard: density_biased_knn_workload(
-            cluster.shard_points[shard], n_queries, k,
-            np.random.default_rng(seed + shard),
-        )
-        for shard in cluster.active_shards()
-    }
-
-    def shard_client(shard: int) -> None:
-        local: list[tuple[float, float, str]] = []
-        stop_at = time.monotonic() + duration_s
-        while time.monotonic() < stop_at:
-            t_start = time.monotonic()
-            response = cluster.request(shard, workloads[shard])
-            local.append((t_start, time.monotonic(), response.status))
-        with lock:
-            records.extend(local)
+    loop = ClosedLoop()
+    scale: dict = {}
 
     def scale_operator() -> None:
         time.sleep(duration_s / 3)
-        marks["scale_start"] = time.monotonic()
-        try:
-            report = cluster.add_replica(
-                latency_factor=scale_latency_factor
-            )
-        except BaseException as error:  # surfaced after join
-            failures.append(error)
-            report = {}
-        marks["scale_done"] = time.monotonic()
-        with lock:
-            result.scale = {
-                **report,
-                "wall_s": round(
-                    marks["scale_done"] - marks["scale_start"], 4
-                ),
-            }
+        started = loop.mark("scale_start")
+        report = cluster.add_replica(latency_factor=scale_latency_factor)
+        done = loop.mark("scale_done")
+        scale.update(report, wall_s=round(done - started, 4))
 
     try:
-        threads = [
-            threading.Thread(target=shard_client, args=(shard,),
-                             daemon=True)
-            for shard in cluster.active_shards()
-        ]
-        threads.append(
-            threading.Thread(target=scale_operator, daemon=True)
+        loop.run(_shard_clients(cluster, n_queries, k, seed), duration_s,
+                 scale_operator)
+        pre = loop.window("start", "scale_start")
+        post = loop.window("scale_done", "end")
+        return ElasticityLoadTestResult(
+            duration_s=duration_s, n_shards=n_shards,
+            n_replicas_start=n_replicas,
+            baseline_slow_s=baseline_slow_s,
+            scale_latency_factor=scale_latency_factor,
+            scale=scale,
+            pre=pre,
+            mid=loop.straddling("scale_start", "scale_done"),
+            post=post,
+            errors=loop.counts()["error"],
+            post_over_pre=round(
+                post["throughput_rps"] / max(pre["throughput_rps"], 1e-9), 3
+            ),
+            router=cluster.router.metrics(),
         )
-        t0 = time.monotonic()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if failures:
-            raise failures[0]
-        t_end = max(end for _, end, _ in records)
-        scale_start = marks["scale_start"]
-        scale_done = marks["scale_done"]
-
-        def window(selected: list[tuple[float, float, str]],
-                   span_s: float) -> dict:
-            latencies = [end - start for start, end, _ in selected]
-            errors = sum(
-                1 for _, _, status in selected if status == "error"
-            )
-            return {
-                "resolved": len(selected),
-                "errors": errors,
-                "throughput_rps": round(
-                    len(selected) / max(span_s, 1e-9), 1
-                ),
-                "latency_ms": _percentiles(latencies),
-            }
-
-        pre = [r for r in records if r[1] <= scale_start]
-        post = [r for r in records if r[0] >= scale_done]
-        mid = [
-            r for r in records
-            if r[1] > scale_start and r[0] < scale_done
-        ]
-        result.pre = window(pre, scale_start - t0)
-        result.mid = window(mid, scale_done - scale_start)
-        result.post = window(post, t_end - scale_done)
-        result.errors = sum(
-            1 for _, _, status in records if status == "error"
-        )
-        result.post_over_pre = (
-            result.post["throughput_rps"]
-            / max(result.pre["throughput_rps"], 1e-9)
-        )
-        result.router = cluster.router.metrics()
     finally:
         cluster.stop()
-    return result
 
 
 @dataclass
@@ -494,25 +334,7 @@ class ControllerLoadTestResult:
     router: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "duration_s": self.duration_s,
-            "n_shards_start": self.n_shards_start,
-            "n_shards_end": self.n_shards_end,
-            "n_replicas": self.n_replicas,
-            "merge_when": self.merge_when,
-            "dwell_epochs": self.dwell_epochs,
-            "merge": self.merge,
-            "controller": self.controller,
-            "pre": self.pre,
-            "mid": self.mid,
-            "post": self.post,
-            "errors": self.errors,
-            "degraded": self.degraded,
-            "refits": self.refits,
-            "flaps": self.flaps,
-            "post_over_pre": round(self.post_over_pre, 3),
-            "router": self.router,
-        }
+        return asdict(self)
 
 
 def run_controller_loadtest(
@@ -548,152 +370,78 @@ def run_controller_loadtest(
     the same client population hammers 3 shards before the surgery
     and 2 after it.
     """
-    rng = np.random.default_rng(seed)
-    half = n_points // 2
-    data = np.vstack([
-        rng.normal(loc=0.0, scale=1.0, size=(half, dim)),
-        rng.normal(loc=6.0, scale=0.5, size=(n_points - half, dim)),
-    ])
-    tuning = density_biased_knn_workload(data, max(16, 4 * n_shards), k, rng)
-
-    result = ControllerLoadTestResult(
-        duration_s=duration_s, n_shards_start=n_shards,
-        n_replicas=n_replicas, merge_when=merge_when,
-        dwell_epochs=dwell_epochs,
-    )
-    lock = threading.Lock()
-    #: (t_start, t_end, status) per resolved request
-    records: list[tuple[float, float, str]] = []
-    marks: dict[str, float] = {}
-    failures: list[BaseException] = []
-    workloads: dict[int, object] = {}
-
-    cluster = PredictionCluster(
-        data, tuning,
-        artifact_root=artifact_root,
-        n_shards=n_shards, n_replicas=n_replicas,
-        replication=replication,
-        workers_per_replica=workers_per_replica,
-        memory=memory, fit_seed=seed, seed=seed,
-        merge_when=merge_when, split_when=split_when,
+    _, cluster = _build_cluster(
+        seed=seed, n_points=n_points, dim=dim, n_shards=n_shards, k=k,
+        artifact_root=artifact_root, n_replicas=n_replicas,
+        replication=replication, workers_per_replica=workers_per_replica,
+        memory=memory, merge_when=merge_when, split_when=split_when,
     )
     controller = cluster.start_controller(
         autostart=False, dwell_epochs=dwell_epochs,
     )
+    # built on first use, since merged shards appear mid-window
+    workload_for = cache(
+        lambda shard: shard_workload(cluster, shard, n_queries, k,
+                                     np.random.default_rng(seed + shard))
+    )
 
-    def workload_for(shard: int):
-        with lock:
-            workload = workloads.get(shard)
-            if workload is None:
-                workload = density_biased_knn_workload(
-                    cluster.shard_points[shard], n_queries, k,
-                    np.random.default_rng(seed + shard),
-                )
-                workloads[shard] = workload
-        return workload
-
+    loop = ClosedLoop()
     decay_at = duration_s / 3
+    merge: dict = {}
 
-    def client(index: int) -> None:
-        # the last client is the decaying load: it retires at t/3
-        my_stop = time.monotonic() + (
-            decay_at if index == n_clients - 1 else duration_s
-        )
-        local: list[tuple[float, float, str]] = []
-        while time.monotonic() < my_stop:
-            for shard in cluster.active_shards():
-                t_start = time.monotonic()
-                response = cluster.request(shard, workload_for(shard))
-                local.append(
-                    (t_start, time.monotonic(), response.status)
-                )
-        with lock:
-            records.extend(local)
+    def client(retires: bool):
+        def step():
+            if retires and time.monotonic() >= loop.marks["start"] + decay_at:
+                return None
+            return [record_of(cluster.request(shard, workload_for(shard)))
+                    for shard in cluster.active_shards()]
+        return step
 
     def operator() -> None:
         time.sleep(decay_at)
-        marks["decay"] = time.monotonic()
-        deadline = marks["decay"] + duration_s
-        try:
-            while time.monotonic() < deadline:
-                before = time.monotonic()
-                record = controller.tick()
-                if record["action"] == "merge":
-                    marks["merge_start"] = before
-                    marks["merge_done"] = time.monotonic()
-                    with lock:
-                        result.merge = dict(record)
-                    return
-                time.sleep(tick_every_s)
-        except BaseException as error:  # surfaced after join
-            failures.append(error)
+        deadline = loop.mark("decay") + duration_s
+        while time.monotonic() < deadline:
+            before = time.monotonic()
+            record = controller.tick()
+            if record["action"] == "merge":
+                loop.marks["merge_start"] = before
+                loop.mark("merge_done")
+                merge.update(record)
+                return
+            time.sleep(tick_every_s)
 
     try:
-        threads = [
-            threading.Thread(target=client, args=(i,), daemon=True)
-            for i in range(n_clients)
-        ]
-        threads.append(threading.Thread(target=operator, daemon=True))
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if failures:
-            raise failures[0]
-
-        result.n_shards_end = len(cluster.active_shards())
+        # the last client is the decaying load: it retires at t/3
+        loop.run(
+            [client(i == n_clients - 1) for i in range(n_clients)],
+            duration_s, operator,
+        )
         report = controller.report()
-        result.flaps = report["flaps"]
-        result.controller = {
-            "epoch": report["epoch"],
-            "counters": report["counters"],
-            "born": report["born"],
-        }
-        result.refits = sum(
-            replica.service.store.rebuilds()
-            for replica in cluster.replicas.values()
-            if not replica.down and replica.service is not None
+        counts = loop.counts()
+        result = ControllerLoadTestResult(
+            duration_s=duration_s, n_shards_start=n_shards,
+            n_shards_end=len(cluster.active_shards()),
+            n_replicas=n_replicas, merge_when=merge_when,
+            dwell_epochs=dwell_epochs, merge=merge,
+            controller={key: report[key]
+                        for key in ("epoch", "counters", "born")},
+            errors=counts["error"], degraded=counts["degraded"],
+            refits=sum(
+                replica.service.store.rebuilds()
+                for replica in cluster.replicas.values()
+                if not replica.down and replica.service is not None
+            ),
+            flaps=report["flaps"],
+            router=cluster.router.metrics(),
         )
-        result.errors = sum(
-            1 for _, _, status in records if status == "error"
-        )
-        result.degraded = sum(
-            1 for _, _, status in records if status == "degraded"
-        )
-
-        if "merge_start" in marks:
-            t_end = max(end for _, end, _ in records)
-            decay = marks["decay"]
-            merge_start = marks["merge_start"]
-            merge_done = marks["merge_done"]
-
-            def window(selected, span_s: float) -> dict:
-                latencies = [end - start for start, end, _ in selected]
-                errors = sum(
-                    1 for _, _, status in selected if status == "error"
-                )
-                return {
-                    "resolved": len(selected),
-                    "errors": errors,
-                    "throughput_rps": round(
-                        len(selected) / max(span_s, 1e-9), 1
-                    ),
-                    "latency_ms": _percentiles(latencies),
-                }
-
-            pre = [r for r in records
-                   if r[0] >= decay and r[1] <= merge_start]
-            post = [r for r in records if r[0] >= merge_done]
-            mid = [r for r in records
-                   if r[1] > merge_start and r[0] < merge_done]
-            result.pre = window(pre, merge_start - decay)
-            result.mid = window(mid, merge_done - merge_start)
-            result.post = window(post, t_end - merge_done)
-            result.post_over_pre = (
+        if merge:
+            result.pre = loop.window("decay", "merge_start")
+            result.mid = loop.straddling("merge_start", "merge_done")
+            result.post = loop.window("merge_done", "end")
+            result.post_over_pre = round(
                 result.post["throughput_rps"]
-                / max(result.pre["throughput_rps"], 1e-9)
+                / max(result.pre["throughput_rps"], 1e-9), 3
             )
-        result.router = cluster.router.metrics()
+        return result
     finally:
         cluster.stop()
-    return result

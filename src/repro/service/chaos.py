@@ -21,16 +21,16 @@ sweep:
 * one tenant has a starvation-level I/O allowance and must be refused
   or budget-degraded -- out of *its own* allowance only.
 
-After the storm, :func:`assert_service_invariant` reconciles each
-tenant's ledger three ways (sum of response ops == ledger counter ==
-governor spend) so cross-tenant budget leakage is a hard failure.
+Responses are filed by the shared classifier of
+:mod:`repro.runtime.storm`.  After the storm each tenant's ledger is
+reconciled three ways (sum of response ops == ledger counter ==
+governor spend), so cross-tenant budget leakage is a violation that
+:func:`assert_service_invariant` fails on.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +40,7 @@ from ..errors import (
     ServiceOverloadedError,
     TenantQuotaExceededError,
 )
+from ..runtime.storm import HANG_TIMEOUT_S, StormOutcome
 from .server import PredictionService, WorkerDeath
 from .tenancy import TenantQuota
 
@@ -49,25 +50,6 @@ __all__ = [
     "assert_service_invariant",
     "run_service_chaos",
 ]
-
-#: error types an "error" response may legitimately carry -- anything
-#: else is an untyped leak and fails the invariant
-_TYPED_ERRORS = frozenset({
-    "WorkerDeath",
-    "DeadlineExceededError",
-    "BudgetExceededError",
-    "PredictionError",
-    "TransientReadError",
-    "TornWriteError",
-    "ChecksumError",
-    "UnrecoverableCorruptionError",
-    "CircuitOpenError",
-    "ServiceOverloadedError",
-})
-
-#: how long a response may take before the sweep calls it hung; chaos
-#: workloads here run in milliseconds, so 30 s is not a tight race
-_HANG_TIMEOUT_S = 30.0
 
 
 @dataclass(frozen=True)
@@ -101,46 +83,45 @@ class ServiceChaosScenario:
     coalesce_window_ms: float = 2.0
 
 
-@dataclass
-class ServiceChaosOutcome:
+@dataclass(kw_only=True)
+class ServiceChaosOutcome(StormOutcome):
     """What one chaos sweep observed, classified request by request.
 
-    ``classified`` counts terminal states: ``identical`` (warm response
-    bit-equal to the unloaded reference), ``served`` (full method, ok),
-    ``degraded`` (fallback with record), ``typed_error`` (an allowed
-    error type), ``refused_quota`` / ``shed_overload`` (admission).
-    ``violations`` lists everything the invariant forbids: hangs,
-    bit-mismatches, untyped errors, degradations without a causal
-    record.  ``reconciliation`` holds the three per-tenant op sums that
-    must agree.
+    Beyond the shared terminal states, ``classified`` counts the two
+    admission verdicts ``refused_quota`` and ``shed_overload``.
+    ``reconciliation`` holds each tenant's three op sums (responses,
+    ledger, governor), which must agree.
     """
 
-    scenario: ServiceChaosScenario
-    classified: Counter = field(default_factory=Counter)
-    violations: list[str] = field(default_factory=list)
-    reconciliation: dict = field(default_factory=dict)
+    typed_errors = frozenset({
+        "WorkerDeath",
+        "DeadlineExceededError",
+        "BudgetExceededError",
+        "PredictionError",
+        "TransientReadError",
+        "TornWriteError",
+        "ChecksumError",
+        "UnrecoverableCorruptionError",
+        "CircuitOpenError",
+        "ServiceOverloadedError",
+    })
+
     workers_respawned: int = 0
     artifact_rebuilds: int = 0
-    causes_seen: Counter = field(default_factory=Counter)
     #: the service's batch-occupancy snapshot (fused dispatches, mean/
     #: max batch size, window hit rate) -- all-zero with coalesce off
     batching: dict = field(default_factory=dict)
 
-    @property
-    def total_requests(self) -> int:
-        return sum(self.classified.values())
+    def has_record(self, response) -> bool:
+        # a degraded answer must carry the facade's attempt chain
+        return bool(response.attempts) and response.result is not None
 
     def summary(self) -> dict:
         return {
-            "seed": self.scenario.seed,
-            "requests": self.total_requests,
-            "classified": dict(self.classified),
-            "causes_seen": dict(self.causes_seen),
-            "violations": list(self.violations),
+            **super().summary(),
             "workers_respawned": self.workers_respawned,
             "artifact_rebuilds": self.artifact_rebuilds,
             "batching": dict(self.batching),
-            "reconciliation": self.reconciliation,
         }
 
 
@@ -258,19 +239,19 @@ def run_service_chaos(
                         f"{type(error).__name__}: {error}"
                     )
 
-        responses = []
+        response_ops = dict.fromkeys(datasets, 0)
         for name, method, future in pending:
+            label = f"{method} request {future.request_id} of {name!r}"
             try:
-                response = future.result(timeout=_HANG_TIMEOUT_S)
+                response = future.result(timeout=HANG_TIMEOUT_S)
             except TimeoutError:
-                outcome.classified["hung"] += 1
-                outcome.violations.append(
-                    f"request {future.request_id} of {name!r} "
-                    f"({method}) HUNG past {_HANG_TIMEOUT_S:g} s"
-                )
+                outcome.hung(label)
                 continue
-            responses.append((name, method, response))
-            _classify(outcome, name, method, response, references)
+            response_ops[name] += response.io_ops
+            outcome.classify(
+                response, label,
+                expected=references[name] if method == "warm" else None,
+            )
 
     outcome.workers_respawned = service.workers_respawned
     outcome.artifact_rebuilds = (service.store.rebuilds()
@@ -278,59 +259,16 @@ def run_service_chaos(
     outcome.batching = service.metrics()["batching"]
 
     # --- reconciliation: three sums per tenant must agree -------------
+    books = {}
     for name in datasets:
-        ledger = service.tenant(name).ledger
-        from_responses = sum(
-            r.io_ops for (t, _, r) in responses if t == name
-        )
-        snapshot = ledger.snapshot()
-        outcome.reconciliation[name] = {
-            "response_ops": from_responses,
+        snapshot = service.tenant(name).ledger.snapshot()
+        books[name] = {
+            "response_ops": response_ops[name],
             "ledger_ops": snapshot["charged_ops"],
             "governor_ops": snapshot["governor_ops"],
         }
+    outcome.reconcile(books)
     return outcome
-
-
-def _classify(outcome, name, method, response, references) -> None:
-    """File one response under its terminal state (or violation)."""
-    if response.cause:
-        outcome.causes_seen[response.cause] += 1
-    if response.status == "ok":
-        if method == "warm":
-            if np.array_equal(response.result.per_query, references[name]):
-                outcome.classified["identical"] += 1
-            else:
-                outcome.classified["mismatch"] += 1
-                outcome.violations.append(
-                    f"warm request {response.request_id} of {name!r} "
-                    f"diverged from the unloaded reference"
-                )
-        else:
-            outcome.classified["served"] += 1
-    elif response.status == "degraded":
-        if response.attempts and response.result is not None:
-            outcome.classified["degraded"] += 1
-        else:
-            outcome.classified["mismatch"] += 1
-            outcome.violations.append(
-                f"degraded request {response.request_id} of {name!r} "
-                f"carries no causal record"
-            )
-    elif response.status == "error":
-        if response.error_type in _TYPED_ERRORS:
-            outcome.classified["typed_error"] += 1
-        else:
-            outcome.classified["untyped_error"] += 1
-            outcome.violations.append(
-                f"request {response.request_id} of {name!r} failed with "
-                f"untyped {response.error_type}: {response.error}"
-            )
-    else:
-        outcome.violations.append(
-            f"request {response.request_id} of {name!r} ended in unknown "
-            f"status {response.status!r}"
-        )
 
 
 def assert_service_invariant(outcome: ServiceChaosOutcome) -> None:
@@ -340,13 +278,4 @@ def assert_service_invariant(outcome: ServiceChaosOutcome) -> None:
     of the allowed three, and every tenant's three op sums agree --
     i.e. no charge leaked across tenants and none went missing.
     """
-    assert not outcome.violations, (
-        "service invariant violated:\n  " + "\n  ".join(outcome.violations)
-    )
-    assert outcome.classified.get("hung", 0) == 0
-    for name, sums in outcome.reconciliation.items():
-        assert (sums["response_ops"] == sums["ledger_ops"]
-                == sums["governor_ops"]), (
-            f"tenant {name!r} ledger does not reconcile: {sums} "
-            f"(cross-tenant leakage or lost charges)"
-        )
+    outcome.assert_clean("service")

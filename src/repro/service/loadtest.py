@@ -16,13 +16,13 @@ bounded when offered load exceeds capacity.
 
 from __future__ import annotations
 
-import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from ..errors import ServiceOverloadedError, TenantQuotaExceededError
+from ..runtime.storm import HANG_TIMEOUT_S, ClosedLoop, record_of
 from .server import PredictionService
 from .tenancy import TenantQuota
 
@@ -63,30 +63,12 @@ class LoadTestResult:
     tenants: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "duration_s": self.duration_s,
-            "n_tenants": self.n_tenants,
-            "workers": self.workers,
-            "method": self.method,
-            "requests_sent": self.requests_sent,
-            "resolved": self.resolved,
-            "ok": self.ok,
-            "degraded": self.degraded,
-            "errors": self.errors,
-            "shed_overload": self.shed_overload,
-            "refused_quota": self.refused_quota,
-            "throughput_rps": round(self.throughput_rps, 1),
-            "latency_ms": {
-                "p50": round(self.p50_ms, 3),
-                "p95": round(self.p95_ms, 3),
-                "p99": round(self.p99_ms, 3),
-                "mean": round(self.mean_ms, 3),
-                "max": round(self.max_ms, 3),
-            },
-            "burst": self.burst,
-            "batching": dict(self.batching),
-            "tenants": self.tenants,
+        payload = asdict(self)
+        payload["latency_ms"] = {
+            key: payload.pop(f"{key}_ms")
+            for key in ("p50", "p95", "p99", "mean", "max")
         }
+        return payload
 
 
 def run_loadtest(
@@ -123,6 +105,9 @@ def run_loadtest(
     before waiting for them all -- the closed loop still bounds offered
     load, but a queue depth exists for the coalescer to find; use the
     same burst on both sides when comparing coalesced vs uncoalesced.
+
+    A response that does not arrive within the shared hang timeout
+    raises :class:`TimeoutError` from here; it is never dropped.
     """
     if burst < 1:
         raise ValueError("burst must be >= 1")
@@ -143,76 +128,48 @@ def run_loadtest(
             points, n_queries=n_queries, k=k, seed=seed + i
         )
 
-    result = LoadTestResult(
-        duration_s=duration_s, n_tenants=n_tenants, workers=workers,
-        method=method, burst=burst,
-    )
-    latencies: list[float] = []
-    lock = threading.Lock()
-
-    def client(name: str) -> None:
-        sent = resolved = ok = degraded = errors = 0
-        refused = shed = 0
-        local_latencies = []
-        stop_at = time.monotonic() + duration_s
-        while time.monotonic() < stop_at:
-            pendings = []
+    def client(name: str):
+        def step() -> list:
+            pendings, refusals = [], []
             for _ in range(burst):
+                now = time.monotonic()
                 try:
                     pendings.append(service.submit(name, workloads[name],
                                                    method=method))
                 except TenantQuotaExceededError:
-                    refused += 1
+                    refusals.append((now, now, "refused_quota"))
                     break
                 except ServiceOverloadedError:
-                    shed += 1
+                    refusals.append((now, now, "shed_overload"))
                     break
             if not pendings:
                 time.sleep(0.001)
-                continue
-            sent += len(pendings)
-            for pending in pendings:
-                response = pending.result(timeout=60.0)
-                resolved += 1
-                local_latencies.append(response.latency_s)
-                if response.status == "ok":
-                    ok += 1
-                elif response.status == "degraded":
-                    degraded += 1
-                else:
-                    errors += 1
-        with lock:
-            result.requests_sent += sent
-            result.resolved += resolved
-            result.ok += ok
-            result.degraded += degraded
-            result.errors += errors
-            result.refused_quota += refused
-            result.shed_overload += shed
-            latencies.extend(local_latencies)
+            return refusals + [
+                record_of(pending.result(timeout=HANG_TIMEOUT_S))
+                for pending in pendings
+            ]
+        return step
 
     with service:
-        threads = [
-            threading.Thread(target=client, args=(name,), daemon=True)
-            for name in workloads
-        ]
-        started = time.monotonic()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        elapsed = time.monotonic() - started
+        loop = ClosedLoop().run(map(client, workloads), duration_s)
 
-    if latencies:
-        lat_ms = np.asarray(latencies) * 1e3
-        result.p50_ms = float(np.percentile(lat_ms, 50))
-        result.p95_ms = float(np.percentile(lat_ms, 95))
-        result.p99_ms = float(np.percentile(lat_ms, 99))
-        result.mean_ms = float(lat_ms.mean())
-        result.max_ms = float(lat_ms.max())
-    result.throughput_rps = result.resolved / max(elapsed, 1e-9)
-    result.batching = service.metrics()["batching"]
-    result.tenants = {
-        name: service.tenant(name).ledger.snapshot() for name in workloads
-    }
-    return result
+    counts = loop.counts()
+    whole = loop.window("start", "end")
+    return LoadTestResult(
+        duration_s=duration_s, n_tenants=n_tenants, workers=workers,
+        method=method, burst=burst,
+        requests_sent=whole["resolved"],
+        resolved=whole["resolved"],
+        ok=counts["ok"],
+        degraded=counts["degraded"],
+        errors=counts["error"],
+        shed_overload=counts["shed_overload"],
+        refused_quota=counts["refused_quota"],
+        throughput_rps=whole["throughput_rps"],
+        **{f"{key}_ms": ms for key, ms in whole["latency_ms"].items()},
+        batching=service.metrics()["batching"],
+        tenants={
+            name: service.tenant(name).ledger.snapshot()
+            for name in workloads
+        },
+    )

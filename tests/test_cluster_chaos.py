@@ -14,15 +14,14 @@ The topology sweep adds the elastic axis on top: mid-storm scale-out
 with a corrupted donor, a kill during the handoff, a shard split under
 traffic, stale-epoch probes at every fence, and a graceful scale-in --
 with the invariant extended across epoch boundaries (per-epoch op
-books sum to the drained totals exactly).  ``CHAOS_SCALE=0`` skips the
-topology sweep so CI can matrix the axis on and off.
+books sum to the drained totals exactly).
 
 The controller sweep hands the topology to the autonomous loop: an
 over-partitioned cluster's load decays mid-storm and the controller --
 ticked deterministically once per round -- must merge the stranded
 sibling pair through a mid-surgery replica kill and a post-fence
 artifact corruption, shrinking the topology with zero erroneous
-responses and a zero flap counter.  ``CHAOS_CONTROLLER=0`` skips it.
+responses and a zero flap counter.
 """
 
 from __future__ import annotations
@@ -39,9 +38,6 @@ from repro.cluster import (
 
 SEEDS = ([int(os.environ["CHAOS_SEED"])]
          if os.environ.get("CHAOS_SEED") else [0, 1])
-SCALE_AXIS_OFF = os.environ.get("CHAOS_SCALE") == "0"
-CONTROLLER_AXIS_OFF = os.environ.get("CHAOS_CONTROLLER") == "0"
-COALESCE_AXIS_OFF = os.environ.get("COALESCE") == "0"
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -65,8 +61,6 @@ def test_storm_invariant_holds(seed, tmp_path):
     )
 
 
-@pytest.mark.skipif(COALESCE_AXIS_OFF, reason="COALESCE=0 disables the "
-                    "request-coalescing axis")
 @pytest.mark.parametrize("seed", SEEDS)
 def test_storm_invariant_holds_with_coalescing(seed, tmp_path):
     """The same storm with replica-side request coalescing on: fused
@@ -100,8 +94,6 @@ def test_double_kill_forces_explicit_degradation(seed, tmp_path):
     assert outcome.causes_seen.get("unavailable", 0) > 0
 
 
-@pytest.mark.skipif(SCALE_AXIS_OFF, reason="CHAOS_SCALE=0 disables the "
-                    "topology axis in this CI matrix cell")
 @pytest.mark.parametrize("seed", SEEDS)
 def test_topology_storm_invariant_holds(seed, tmp_path):
     """The elastic storm: the same invariant must hold while the
@@ -133,8 +125,6 @@ def test_topology_storm_invariant_holds(seed, tmp_path):
     assert outcome.reconciliation[parent]["router_ops"] > 0
 
 
-@pytest.mark.skipif(CONTROLLER_AXIS_OFF, reason="CHAOS_CONTROLLER=0 "
-                    "disables the controller axis in this CI matrix cell")
 @pytest.mark.parametrize("seed", SEEDS)
 def test_controller_storm_shrinks_topology(seed, tmp_path):
     """The autonomous storm: the controller must merge the stranded

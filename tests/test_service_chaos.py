@@ -26,7 +26,6 @@ from repro.service import (
 
 SEEDS = ([int(os.environ["CHAOS_SEED"])]
          if os.environ.get("CHAOS_SEED") else [0, 1])
-COALESCE_AXIS_OFF = os.environ.get("COALESCE") == "0"
 
 
 @pytest.fixture(autouse=True)
@@ -51,8 +50,6 @@ def test_storm_invariant_holds(seed, tmp_path):
     assert "budget" in outcome.causes_seen
 
 
-@pytest.mark.skipif(COALESCE_AXIS_OFF, reason="COALESCE=0 disables the "
-                    "request-coalescing axis")
 @pytest.mark.parametrize("seed", SEEDS)
 def test_storm_invariant_holds_with_coalescing(seed, tmp_path):
     """The same storm with the batched execution plane on: the no-hang /
