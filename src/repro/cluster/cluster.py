@@ -31,18 +31,19 @@ point, not a contract: a :class:`~.elasticity.TopologyManager`
 (``self.topology``) can add and remove replicas, split a shard whose
 tuned cost diverges from its siblings, merge a sibling pair stranded
 cheap by load decay, and re-tune a shard whose live queries have
-drifted from its centroid -- all behind an epoch-fenced routing-table
-handoff (see :mod:`.elasticity`).  A
+drifted from its centroid -- each one plan, one placement step and
+one epoch fence (see :mod:`.elasticity`).  A
 :class:`~.controller.TopologyController`
 (:meth:`start_controller`) closes the policy loop autonomously, with
 hysteresis so the topology never flaps.  Two bookkeeping rules
 make that safe: **shard ids are never reused** (successor shards mint
-fresh ids from ``_next_shard_id``, because a reused id would collide
-with the retired shard's artifact key and ledger history -- so the
-partitioner's centroid *rows* map to shard ids through
-``_row_to_shard``), and **nothing is deleted from the books**
-(removed replicas move to ``retired_replicas``, replaced shards to
-``retired_shards``, and :meth:`charged_ops` sums across all of them).
+fresh ids from ``_next_shard_id`` when their tuning starts, and a
+refused surgery burns them, so no successor can collide with an
+earlier shard's artifact key or ledger history -- the partitioner's
+centroid *rows* map to shard ids through ``_row_to_shard``), and
+**nothing is deleted from the books** (removed replicas move to
+``retired_replicas``, replaced shards to ``retired_shards``, and
+:meth:`charged_ops` sums across all of them).
 """
 
 from __future__ import annotations
@@ -241,14 +242,9 @@ class PredictionCluster:
                     shard, self.shard_points[shard], config,
                     fit_seed=fit_seed,
                 )
-            cost = {
-                name: config.predicted_seconds
-                * self.replicas[name].latency_factor
-                for name in placed
-            }
-            ordered = tuple(sorted(placed, key=lambda n: (cost[n], n)))
-            owners[shard] = ordered
-            costs[shard] = cost
+            owners[shard], costs[shard] = self._rank(
+                config.predicted_seconds, placed
+            )
 
         # 4. route
         self.router = Router(
@@ -283,6 +279,18 @@ class PredictionCluster:
             latency_factor=latency_factor,
             **self._replica_kwargs,
         )
+
+    def _rank(
+        self, seconds: float, names, cost: dict[str, float] | None = None
+    ) -> tuple[tuple[str, ...], dict[str, float]]:
+        """One shard's routing entry: ``names`` priced at the shard's
+        tuned ``seconds`` times each replica's latency factor, merged
+        over the entry's existing ``cost``, owners cheapest first (name
+        breaks ties)."""
+        cost = dict(cost or {})
+        for name in names:
+            cost[name] = seconds * self.replicas[name].latency_factor
+        return tuple(sorted(cost, key=lambda n: (cost[n], n))), cost
 
     # ------------------------------------------------------------------
     # Serving
@@ -434,21 +442,21 @@ class PredictionCluster:
         """Scale out: warm a new replica from peers, fence it in."""
         return self.topology.add_replica(name, **kwargs)
 
-    def remove_replica(self, name: str, **kwargs) -> dict:
+    def remove_replica(self, name: str) -> dict:
         """Scale in: fence the replica out, drain, fold its books."""
-        return self.topology.remove_replica(name, **kwargs)
+        return self.topology.remove_replica(name)
 
-    def split_shard(self, shard: int, **kwargs) -> tuple[int, int]:
+    def split_shard(self, shard: int) -> tuple[int, int]:
         """Split one shard in two freshly tuned successors."""
-        return self.topology.split_shard(shard, **kwargs)
+        return self.topology.split_shard(shard)
 
     def re_tune_shard(self, shard: int, **kwargs) -> int:
         """Replace one shard with a freshly tuned successor."""
         return self.topology.re_tune_shard(shard, **kwargs)
 
-    def merge_shards(self, a: int, b: int, **kwargs) -> int:
+    def merge_shards(self, a: int, b: int) -> int:
         """Merge two shards into one freshly tuned successor."""
-        return self.topology.merge_shards(a, b, **kwargs)
+        return self.topology.merge_shards(a, b)
 
     def start_controller(
         self, *, autostart: bool = True, **kwargs

@@ -117,7 +117,6 @@ class TopologyController:
         #: merge pair -> consecutive ticks it has been a candidate
         self._dwell: dict[tuple[int, int], int] = {}
         self._seen_topology_events = 0
-        self._surgery_in_flight = False
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
@@ -333,7 +332,6 @@ class TopologyController:
         )
         if flapped:
             self.flaps += 1
-        self._surgery_in_flight = True
         try:
             result = thunk()
         except (BudgetExceededError, InputValidationError,
@@ -354,8 +352,6 @@ class TopologyController:
             # Anchor the successors' births at *this* epoch right away
             # (not at the next tick) so their cool-down starts now.
             self._absorb_topology_events()
-        finally:
-            self._surgery_in_flight = False
 
     # ------------------------------------------------------------------
     # Introspection

@@ -1,58 +1,52 @@
-"""Elastic cluster topology: epoch-fenced scale, split, drift re-tune.
+"""Elastic cluster topology: epoch-fenced scale, split, merge, re-tune.
 
-PR 7 froze the cluster's topology at construction; this module makes it
-a *runtime* variable while keeping every invariant the frozen cluster
-already proved.  The paper's predictor is cheap enough to re-run
-online, so per-shard predicted cost can drive topology decisions --
-scale-out/in, shard splitting on cost divergence, workload-drift
-re-tuning -- instead of static placement.  Four mechanisms compose:
+The paper's predictor is cheap enough to re-run online, so per-shard
+predicted cost drives topology decisions -- scale-out/in, splitting a
+shard whose tuned cost diverges from its siblings, merging a cheap
+pair, re-tuning a shard whose workload drifted -- instead of static
+placement.  The five operations of :class:`TopologyManager` are thin
+callers of three shared steps:
 
-1. **epoch fence** -- every topology change publishes a whole new
-   :class:`~.routing.RoutingTable` under a strictly larger epoch.
-   In-flight requests admitted under the old epoch drain to completion
-   against the geometry they captured at submit (the service binds the
-   tenant object into the queue item, so a straddling request answers
-   bit-identically to the pre-change cluster); dispatches pinned to the
-   old epoch are refused with a typed
-   :class:`~repro.errors.StaleRoutingEpochError`.  The ordering of
-   every change is *fence, drain, fold*: install the new table, drain
-   the router (a drained leg has settled its ledger), then fold
-   retiring ledgers -- which is what makes the op books exact across
-   the boundary.
-2. **scale-out/in** -- :meth:`TopologyManager.add_replica` warms the
-   new replica's artifacts over the anti-entropy peer-bytes path
-   (verify a live owner's copy, adopt its exact bytes, register as a
-   verified hit: zero refits when any verified peer exists);
-   :meth:`TopologyManager.remove_replica` fences, drains, and retires
-   the replica's ledgers exactly as a kill would, so nothing vanishes
-   from the accounting.
-3. **shard split / merge / re-tune** -- successor shards get *fresh*
-   ids (ids are never reused: a reused id would collide with the
-   retired shard's artifact key and its ledger history), each
-   successor is re-tuned on its own workload slice -- a split's halves
-   on the seeded re-partition of the parent's slice, a merge's single
-   child on the parents' *concatenated* slices -- and the old shards'
-   ledgers fold into the owners' retired books under the old ids.
-   ``merge_when < split_when`` is enforced so the two detectors leave
-   a hysteresis band between them, and a merge whose re-tuned cost
-   would immediately re-trip ``split_when`` is refused before the
-   fence.
-4. **drift detection + governed reorganization** -- a
-   :class:`DriftDetector` compares live per-shard query centers
-   against the partitioner's frozen centroids and proposes re-tunes;
-   every split/re-tune is admitted against a reorg
-   :class:`~repro.runtime.budget.Budget` through a
-   :class:`~repro.runtime.governor.Governor` (``require_ops`` up
-   front, actual ``tuning_io_ops`` attributed after), so
-   reorganization cost is charged like any other I/O and an exhausted
-   budget refuses the change with a typed error *before* any surgery.
+1. **one plan per shard surgery** -- split, merge and re-tune all pool
+   their parents (points stacked, tuning slices concatenated with ids
+   offset per parent), carve the pool into children (seeded k-means
+   with k=2 for a split, one child otherwise), admit the change against
+   a reorg :class:`~repro.runtime.budget.Budget` through a
+   :class:`~repro.runtime.governor.Governor` *before* any work (an
+   exhausted budget refuses with a typed error, topology untouched),
+   then tune each child on its own slice and charge the actual
+   ``tuning_io_ops``.  Child ids are minted from ``_next_shard_id``
+   when tuning starts and never reused: a surgery refused later burns
+   its ids, so a successor can never collide with an earlier
+   artifact or ledger under the same key.
+2. **one placement step** -- every new copy of a shard (scale-out
+   warming, every successor shard) walks its donors for a copy that
+   passes verification and adopts those exact bytes, so registration
+   is a warm hit; with no verified donor it fits once and each
+   registered target donates to the next.  It reports exactly the
+   replicas that registered, and successors are routed only to those.
+3. **one fence** -- every change publishes a whole new
+   :class:`~.routing.RoutingTable` under a strictly larger epoch,
+   drains the router (a drained leg has settled its ledger), and only
+   then folds the retiring ledgers (a parent shard's on its owners, or
+   a removed replica's) -- which is what makes the op books exact
+   across the boundary.  In-flight requests admitted under the old
+   epoch answer bit-identically against the tenant they captured;
+   dispatches pinned to the old epoch are refused with a typed
+   :class:`~repro.errors.StaleRoutingEpochError`.
+
+``merge_when < split_when`` is enforced so the two cost detectors leave
+a hysteresis band between them, and a merge whose re-tuned cost would
+immediately re-trip ``split_when`` is refused before the fence.  A
+:class:`DriftDetector` compares live per-shard query centers against
+the partitioner's frozen centroids and proposes re-tunes.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from collections import Counter, deque
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -66,7 +60,7 @@ from ..errors import (
 from ..runtime.budget import Budget
 from ..runtime.governor import Governor
 from ..workload.queries import KNNWorkload, exact_knn_radii
-from .partition import WorkloadPartition, partition_workload
+from .partition import WorkloadPartition, _distances_sq, partition_workload
 from .replicas import shard_tenant
 from .routing import RoutingTable
 from .tuning import ShardConfig, tune_shard
@@ -83,8 +77,12 @@ _TOPOLOGY_DRAIN_S = 30.0
 #: (the re-tune workload is synthesized from these)
 _DRIFT_WINDOW = 256
 
+#: recent queries anchored per block when synthesizing a re-tune
+#: workload (bounds the block x points x d difference array)
+_ANCHOR_BLOCK = 8
 
-@dataclass(frozen=True)
+
+@dataclasses.dataclass(frozen=True)
 class DriftProposal:
     """One shard whose live queries have walked away from its centroid.
 
@@ -99,12 +97,7 @@ class DriftProposal:
     action: str = "re-tune"
 
     def as_dict(self) -> dict:
-        return {
-            "shard": self.shard,
-            "drift": round(self.drift, 4),
-            "observations": self.observations,
-            "action": self.action,
-        }
+        return {**dataclasses.asdict(self), "drift": round(self.drift, 4)}
 
 
 class DriftDetector:
@@ -162,8 +155,7 @@ class DriftDetector:
             anchors = list(self._frozen.values())
             if len(anchors) >= 2:
                 stack = np.stack(anchors)
-                diff = stack[:, None, :] - stack[None, :, :]
-                dist = np.sqrt(np.einsum("abd,abd->ab", diff, diff))
+                dist = np.sqrt(_distances_sq(stack, stack))
                 off_diag = dist[~np.eye(len(anchors), dtype=bool)]
                 mean = float(off_diag.mean())
                 # All centers coinciding is a *degenerate* partition:
@@ -249,14 +241,37 @@ class DriftDetector:
         }
 
 
+@dataclasses.dataclass
+class _Child:
+    """One successor shard of a surgery plan."""
+
+    points: np.ndarray
+    workload: KNNWorkload
+    centroid: np.ndarray
+    local_ids: dict[int, int]
+    shard: int = -1
+    config: ShardConfig | None = None
+
+
+@dataclasses.dataclass
+class _Plan:
+    """One shard surgery; ``owners`` unites the parents' owners."""
+
+    op: str
+    parents: tuple[int, ...]
+    owners: list
+    children: list[_Child]
+    charged: int
+
+
 class TopologyManager:
     """Runtime topology surgery for one :class:`PredictionCluster`.
 
-    All four operations (add/remove replica, split, re-tune) follow the
-    same fence-drain-fold protocol and serialize under one lock --
-    concurrent *requests* race the fence safely (the router snapshots
-    the table per dispatch), but two concurrent topology changes would
-    race each other's books.
+    The five operations call :meth:`_plan`, :meth:`_place` and
+    :meth:`_fence` (see the module docstring) and serialize under one
+    lock -- concurrent *requests* race the fence safely (the router
+    snapshots the table per dispatch), but two concurrent topology
+    changes would race each other's books.
     """
 
     def __init__(
@@ -294,69 +309,290 @@ class TopologyManager:
         self.drift.freeze(self._current_centers())
 
     # ------------------------------------------------------------------
-    # Plumbing
+    # The three shared steps: plan, place, fence
     # ------------------------------------------------------------------
 
     def _current_centers(self) -> dict[int, np.ndarray]:
         cluster = self.cluster
-        return {
-            cluster._row_to_shard[row]: cluster.partition.centroids[row]
-            for row in range(len(cluster._row_to_shard))
-        }
+        return dict(zip(cluster._row_to_shard, cluster.partition.centroids))
 
-    def _install(self, owners: dict, costs: dict) -> RoutingTable:
-        """Publish a topology change: new table, strictly larger epoch."""
-        old = self.cluster.router.table
-        table = RoutingTable(
-            version=old.version + 1,
-            epoch=old.epoch + 1,
-            owners=owners,
-            costs=costs,
-        )
-        self.cluster.router.install_table(table)
-        return table
+    def _plan(
+        self,
+        op: str,
+        parents: tuple[int, ...],
+        n: int,
+        *,
+        workload: KNNWorkload | None = None,
+        center: np.ndarray | None = None,
+    ) -> _Plan:
+        """Admit, pool the parents, carve ``n`` children, tune them.
 
-    def _ordered(self, placed: list[str], cost: dict[str, float]
-                 ) -> tuple[str, ...]:
-        return tuple(sorted(placed, key=lambda n: (cost[n], n)))
+        The first parent wins a global id both parents hold, and ``k``
+        is the parents' minimum; ``workload`` replaces the pooled slice
+        (the drift re-tune passes its synthesized one).  A single child
+        is centred on ``center`` when given, else on the point-weighted
+        mean of the parent centroids (a re-tune's own centroid).
+        Admission is ``max(1, sum(parent tuning_io_ops) * n)``.  Caller
+        holds ``self._lock``.
+        """
+        from .cluster import _MIN_SHARD_POINTS
 
-    def _charge(self, phase: str, ops: int) -> None:
-        """Attribute actual reorganization I/O to the reorg budget."""
-        self.governor.observe(phase, IOCost(seeks=int(ops)))
+        cluster = self.cluster
+        table = cluster.router.table
+        rows = [cluster._row_of(p) for p in parents]
+        names = dict.fromkeys(n for p in parents for n in table.owners_of(p))
+        owners = [cluster.replicas[n] for n in names if n in cluster.replicas]
+        if not owners:
+            raise InputValidationError(
+                f"shard(s) {list(parents)} have no owners to carry their "
+                f"successors"
+            )
+        self.governor.require_ops(max(1, n * sum(
+            cluster.shard_configs[p].tuning_io_ops for p in parents
+        )), phase=op)
+
+        # --- pool the parents -----------------------------------------
+        sizes = [cluster.shard_points[p].shape[0] for p in parents]
+        offsets = [sum(sizes[:i]) for i in range(len(parents))]
+        points = np.vstack([cluster.shard_points[p] for p in parents])
+        if workload is None:
+            slices = [cluster.tuning_slices[p] for p in parents]
+            workload = KNNWorkload(
+                k=min(s.k for s in slices),
+                query_ids=np.concatenate([
+                    s.query_ids + off for s, off in zip(slices, offsets)
+                ]),
+                queries=np.vstack([s.queries for s in slices]),
+                radii=np.concatenate([s.radii for s in slices]),
+            )
+        local_ids: dict[int, int] = {}
+        for parent, off in zip(parents, offsets):
+            for g, local in cluster._local_ids[parent].items():
+                local_ids.setdefault(g, local + off)
+
+        # --- carve the pool into n children -----------------------------
+        if n == 1:
+            if center is None:
+                weights = np.asarray(sizes, dtype=np.float64) / sum(sizes)
+                center = weights @ cluster.partition.centroids[rows]
+            carve = WorkloadPartition(
+                centroids=np.asarray(center, dtype=np.float64)[None, :],
+                assignments=np.zeros(workload.n_queries, dtype=np.int64),
+            )
+        elif workload.n_queries < n:
+            raise PredictionError(
+                f"shard(s) {list(parents)} have only {workload.n_queries} "
+                f"tuning queries; cannot split into {n}"
+            )
+        else:
+            carve = partition_workload(workload, n, seed=cluster.seed)
+        point_group = carve.shard_of(points)
+        children = []
+        for group, centroid in enumerate(carve.centroids):
+            idx = np.flatnonzero(point_group == group)
+            q_mask = carve.assignments == group
+            if idx.size < _MIN_SHARD_POINTS or not np.any(q_mask):
+                raise PredictionError(
+                    f"{op} of shard(s) {list(parents)} would create a "
+                    f"sliver ({idx.size} points, "
+                    f"{int(np.count_nonzero(q_mask))} queries in child "
+                    f"{group}); a geometry cannot be fitted on a sliver "
+                    f"-- topology unchanged"
+                )
+            to_child = {int(g): j for j, g in enumerate(idx)}
+            try:
+                query_ids = np.fromiter(
+                    (to_child[int(g)] for g in workload.query_ids[q_mask]),
+                    dtype=np.int64, count=int(np.count_nonzero(q_mask)),
+                )
+            except KeyError as missing:
+                raise InputValidationError(
+                    f"tuning query id {missing.args[0]} of shard(s) "
+                    f"{list(parents)} does not land in its own child's "
+                    f"slice; re-tune workloads must be drawn from the "
+                    f"shard's data"
+                ) from None
+            children.append(_Child(
+                points=points[idx],
+                workload=KNNWorkload(
+                    k=workload.k, query_ids=query_ids,
+                    queries=workload.queries[q_mask],
+                    radii=workload.radii[q_mask],
+                ),
+                centroid=centroid,
+                local_ids={
+                    g: to_child[local] for g, local in local_ids.items()
+                    if local in to_child
+                },
+            ))
+
+        # --- mint ids, tune each child on its own slice, charge --------
+        base = cluster._next_shard_id
+        cluster._next_shard_id += len(children)
+        for offset, child in enumerate(children):
+            child.shard = base + offset
+            child.config = tune_shard(
+                child.shard, child.points, child.workload,
+                memory=cluster.memory, page_sizes=cluster.page_sizes,
+                base_disk=cluster.base_disk, method=cluster.tuning_method,
+                seed=cluster.seed, kernel=cluster.kernel,
+            )
+        charged = sum(child.config.tuning_io_ops for child in children)
+        self.governor.observe(op, IOCost(seeks=int(charged)))
         self.governor.end_attempt()
+        return _Plan(op, parents, owners, children, charged)
 
-    def _warm_shard(self, replica, shard: int) -> dict:
-        """Warm one shard onto ``replica`` via the peer-bytes path.
+    def _place(
+        self, shard: int, points: np.ndarray, config: ShardConfig,
+        targets: list, donors: tuple[str, ...] = (),
+    ) -> dict[str, str]:
+        """Register one shard on every live target, fitting at most once.
 
-        Walks the shard's current owners for a copy that passes full
-        verification; the first verified copy's exact bytes are adopted
-        (the anti-entropy mechanism, reused), so the subsequent
-        registration is a warm hit and costs zero refits.  A corrupt
-        donor is skipped, not trusted -- mid-copy corruption of a
-        warming artifact downgrades to the next donor or, when no
-        donor verifies, to one deterministic fit.
+        Each target adopts the exact bytes of the first copy among the
+        ``donors`` (replica names) that passes ``store.verify`` (a
+        corrupt donor is skipped, never trusted), so its registration is
+        a warm hit; with no verified donor it fits, and every registered
+        target donates to the next.  Returns ``{name: "peer:<donor>" |
+        "fit"}`` for exactly the targets that registered.
+        """
+        key = shard_tenant(shard)
+        replicas = self.cluster.replicas
+        donors = [replicas[name] for name in donors if name in replicas]
+        placed: dict[str, str] = {}
+        for target in targets:
+            if target.down or target.service is None:
+                continue
+            via = "fit"
+            for donor in donors:
+                if donor.down or donor.service is None:
+                    continue
+                try:
+                    donor.service.store.verify(key)
+                except ArtifactCorruptError:
+                    continue  # corrupt donor: never warm from it
+                target.adopt_shard_bytes(
+                    shard, donor.artifact_path(shard).read_bytes()
+                )
+                via = f"peer:{donor.name}"
+                break
+            target.register_shard(
+                shard, points, config, fit_seed=self.cluster.fit_seed
+            )
+            placed[target.name] = via
+            donors.append(target)
+        return placed
+
+    def _fence(
+        self,
+        event: dict,
+        *,
+        parents: tuple[int, ...] = (),
+        replica: str | None = None,
+        placed: dict[int, list[str]] | None = None,
+    ) -> dict:
+        """Publish one topology change: install, drain, fold, record.
+
+        The new table is the old one minus the retired ``parents`` or
+        ``replica``, plus each ``placed`` shard routed to exactly the
+        names that registered it.  Records ``event`` completed with the
+        new epoch (and a retired replica's folded ops) and returns it
+        without its ``op`` key, as the operation's report.
         """
         cluster = self.cluster
-        key = shard_tenant(shard)
-        via = "fit"
-        for owner in cluster.router.table.owners_of(shard):
-            peer = cluster.replicas.get(owner)
-            if peer is None or peer.down or peer.service is None:
-                continue
-            store = peer.service.store
-            try:
-                store.verify(key)
-            except ArtifactCorruptError:
-                continue  # corrupt donor: never warm from it
-            data = peer.artifact_path(shard).read_bytes()
-            replica.adopt_shard_bytes(shard, data)
-            via = f"peer:{owner}"
-            break
-        replica.register_shard(
-            shard, cluster.shard_points[shard],
-            cluster.shard_configs[shard], fit_seed=cluster.fit_seed,
+        old = cluster.router.table
+        placed = placed or {}
+        owners, costs = {}, {}
+        for s, names in old.owners.items():
+            if s not in parents:
+                owners[s] = tuple(n for n in names if n != replica)
+                costs[s] = {n: c for n, c in old.costs.get(s, {}).items()
+                            if n != replica}
+        for shard, names in placed.items():
+            owners[shard], costs[shard] = cluster._rank(
+                cluster.shard_configs[shard].predicted_seconds,
+                names, costs.get(shard),
+            )
+        table = RoutingTable(
+            version=old.version + 1, epoch=old.epoch + 1,
+            owners=owners, costs=costs,
         )
-        return {"shard": shard, "via": via}
+        cluster.router.install_table(table)
+        cluster.router.drain(timeout_s=_TOPOLOGY_DRAIN_S)
+        for parent in parents:
+            for name in old.owners_of(parent):
+                if name in cluster.replicas:
+                    cluster.replicas[name].retire_shard(parent)
+            cluster.retired_shards[parent] = {
+                "children": tuple(placed), "epoch": table.epoch,
+                "reason": event["op"],
+            }
+        if replica is not None:
+            retiring = cluster.replicas[replica]
+            retiring.retire()
+            del cluster.replicas[replica]
+            cluster.retired_replicas[replica] = retiring
+            event["retired_ops"] = {
+                int(s): int(v) for s, v in retiring.retired_ops.items()
+            }
+        if parents:
+            self.drift.freeze(self._current_centers())
+        event["epoch"] = table.epoch
+        self.events.append(event)
+        return {k: v for k, v in event.items() if k != "op"}
+
+    def _commit(self, plan: _Plan) -> tuple[int, ...]:
+        """Place every child on the parents' owners, write the cluster
+        state, and fence the parents out.  Caller holds ``self._lock``.
+
+        State is written only once every child has registered, so a
+        refused surgery leaves nothing behind but its burned ids.
+        Children take the first parent's centroid row; extra children
+        are appended and the other parents' rows deleted.
+        """
+        cluster = self.cluster
+        placed = {}
+        for child in plan.children:
+            placed[child.shard] = list(self._place(
+                child.shard, child.points, child.config, plan.owners
+            ))
+            if not placed[child.shard]:
+                raise InputValidationError(
+                    f"no live owner of shard(s) {list(plan.parents)} can "
+                    f"carry their successors; restart an owner first"
+                )
+        for child in plan.children:
+            cluster.shard_points[child.shard] = child.points
+            cluster.shard_configs[child.shard] = child.config
+            cluster.tuning_slices[child.shard] = child.workload
+            cluster._local_ids[child.shard] = child.local_ids
+
+        # --- partition geometry: successor centroid rows ---------------
+        first, *gone = [cluster._row_of(p) for p in plan.parents]
+        rows = [
+            plan.children[0].shard if r == first else shard
+            for r, shard in enumerate(cluster._row_to_shard) if r not in gone
+        ] + [child.shard for child in plan.children[1:]]
+        centers = self._current_centers()
+        centers.update((c.shard, c.centroid) for c in plan.children)
+        centroids = np.stack([centers[shard] for shard in rows])
+        cluster._row_to_shard = rows
+        cluster.partition = WorkloadPartition(
+            centroids=centroids,
+            assignments=np.argmin(_distances_sq(
+                cluster.tuning_workload.queries, centroids
+            ), axis=1),
+        )
+
+        parents = (
+            {"shard": plan.parents[0]} if len(plan.parents) == 1
+            else {"shards": list(plan.parents)}
+        )
+        self._fence(
+            {"op": plan.op, **parents, "children": list(placed),
+             "charged_ops": plan.charged},
+            parents=plan.parents, placed=placed,
+        )
+        return tuple(placed)
 
     # ------------------------------------------------------------------
     # Scale-out / scale-in
@@ -371,11 +607,12 @@ class TopologyManager:
     ) -> dict:
         """Scale out: build, warm, and route to a new replica.
 
-        The replica is constructed, warmed shard by shard over the
-        peer-bytes path, registered, and only then published as an
-        owner under a new epoch -- requests never observe a
-        half-warmed owner.  Returns the warm report (``via`` per
-        shard: ``peer:<donor>`` or ``fit``).
+        The replica is constructed, warmed shard by shard from the
+        current owners' verified bytes (:meth:`_place`: zero refits
+        when any verified peer exists), and only then published as an
+        owner under a new epoch -- requests never observe a half-warmed
+        owner.  Returns the warm report (``via`` per shard:
+        ``peer:<donor>`` or ``fit``).
         """
         with self._lock:
             cluster = self.cluster
@@ -403,33 +640,22 @@ class TopologyManager:
                         f"active shards are {active}"
                     )
             replica = cluster._new_replica(name, latency_factor)
-            warmed = [self._warm_shard(replica, shard) for shard in shards]
-            cluster.replicas[name] = replica
-            old = cluster.router.table
-            owners = dict(old.owners)
-            costs = {s: dict(c) for s, c in old.costs.items()}
+            warmed = []
             for shard in shards:
-                cost = costs.setdefault(shard, {})
-                cost[name] = (
-                    cluster.shard_configs[shard].predicted_seconds
-                    * latency_factor
+                via = self._place(
+                    shard, cluster.shard_points[shard],
+                    cluster.shard_configs[shard], [replica],
+                    donors=cluster.router.table.owners_of(shard),
                 )
-                placed = [n for n in owners.get(shard, ()) if n != name]
-                placed.append(name)
-                owners[shard] = self._ordered(placed, cost)
-            table = self._install(owners, costs)
-            report = {
-                "replica": name,
-                "epoch": table.epoch,
-                "warmed": warmed,
-                "refits": replica.service.store.rebuilds(),
-            }
-            self.events.append({"op": "add_replica", **report})
-            return report
+                warmed.append({"shard": shard, "via": via[name]})
+            cluster.replicas[name] = replica
+            return self._fence(
+                {"op": "add_replica", "replica": name, "warmed": warmed,
+                 "refits": replica.service.store.rebuilds()},
+                placed={shard: [name] for shard in shards},
+            )
 
-    def remove_replica(
-        self, name: str, *, timeout_s: float = _TOPOLOGY_DRAIN_S
-    ) -> dict:
+    def remove_replica(self, name: str) -> dict:
         """Scale in: fence the replica out, drain, fold its ledgers.
 
         The new table (without the replica) is installed *first*, so no
@@ -440,42 +666,31 @@ class TopologyManager:
         (typed) to remove the last owner of any shard.
         """
         with self._lock:
-            cluster = self.cluster
-            replica = cluster._replica(name)
-            old = cluster.router.table
-            for shard, owner_names in old.owners.items():
-                survivors = [n for n in owner_names if n != name]
-                if owner_names and not survivors:
+            self.cluster._replica(name)
+            for shard, owner_names in self.cluster.router.table.owners.items():
+                if owner_names and set(owner_names) == {name}:
                     raise InputValidationError(
                         f"cannot remove {name!r}: it is the last owner "
                         f"of shard {shard}"
                     )
-            owners = {
-                shard: tuple(n for n in owner_names if n != name)
-                for shard, owner_names in old.owners.items()
-            }
-            costs = {
-                shard: {n: c for n, c in cost.items() if n != name}
-                for shard, cost in old.costs.items()
-            }
-            table = self._install(owners, costs)
-            cluster.router.drain(timeout_s=timeout_s)
-            replica.retire()
-            del cluster.replicas[name]
-            cluster.retired_replicas[name] = replica
-            report = {
-                "replica": name,
-                "epoch": table.epoch,
-                "retired_ops": {
-                    int(s): int(v) for s, v in replica.retired_ops.items()
-                },
-            }
-            self.events.append({"op": "remove_replica", **report})
-            return report
+            return self._fence(
+                {"op": "remove_replica", "replica": name}, replica=name
+            )
 
     # ------------------------------------------------------------------
     # Shard surgery
     # ------------------------------------------------------------------
+
+    def _sibling_ratio(self, seconds: float, exclude) -> float | None:
+        """``seconds`` over the median tuned cost of the active shards
+        not in ``exclude`` (``None`` without a positive baseline)."""
+        cluster = self.cluster
+        others = [
+            cluster.shard_configs[s].predicted_seconds
+            for s in cluster.active_shards() if s not in exclude
+        ]
+        baseline = float(np.median(others)) if others else 0.0
+        return seconds / baseline if baseline > 0 else None
 
     def split_candidates(self) -> list[dict]:
         """Shards whose tuned predicted cost diverges from siblings.
@@ -485,22 +700,15 @@ class TopologyManager:
         the predictor's own per-shard cost estimate driving topology,
         which is the point of having a cheap predictor.
         """
-        cluster = self.cluster
-        active = cluster.active_shards()
-        if len(active) < 2:
-            return []
-        seconds = {
-            s: cluster.shard_configs[s].predicted_seconds for s in active
-        }
         out = []
-        for shard in active:
-            siblings = [v for s, v in seconds.items() if s != shard]
-            baseline = float(np.median(siblings))
-            if baseline > 0 and seconds[shard] / baseline >= self.split_when:
+        for shard in self.cluster.active_shards():
+            seconds = self.cluster.shard_configs[shard].predicted_seconds
+            ratio = self._sibling_ratio(seconds, (shard,))
+            if ratio is not None and ratio >= self.split_when:
                 out.append({
                     "shard": shard,
-                    "ratio": round(seconds[shard] / baseline, 3),
-                    "predicted_seconds": seconds[shard],
+                    "ratio": round(ratio, 3),
+                    "predicted_seconds": seconds,
                 })
         return out
 
@@ -533,12 +741,11 @@ class TopologyManager:
         for i, a in enumerate(active):
             for b in active[i + 1:]:
                 combined = seconds[a] + seconds[b]
-                others = [v for s, v in seconds.items() if s not in (a, b)]
-                baseline = float(np.median(others))
-                if baseline > 0 and combined / baseline <= self.merge_when:
+                ratio = self._sibling_ratio(combined, (a, b))
+                if ratio is not None and ratio <= self.merge_when:
                     pairs.append({
                         "pair": (a, b),
-                        "ratio": round(combined / baseline, 3),
+                        "ratio": round(ratio, 3),
                         "combined_seconds": combined,
                     })
         pairs.sort(key=lambda p: (p["ratio"], p["pair"]))
@@ -552,37 +759,20 @@ class TopologyManager:
             chosen.append(pair)
         return chosen
 
-    def split_shard(
-        self,
-        shard: int,
-        *,
-        seed: int | None = None,
-        timeout_s: float = _TOPOLOGY_DRAIN_S,
-    ) -> tuple[int, int]:
+    def split_shard(self, shard: int) -> tuple[int, int]:
         """Split one shard in two, each half re-tuned on its own slice.
 
         The parent's tuning slice is re-partitioned (seeded k-means,
         k=2), the parent's points follow the same child centroids, and
         each child is tuned on its own slice exactly as construction
-        tuned the parent.  Children get fresh, never-reused shard ids;
-        they are registered (one fit, peers adopt bytes) on the
-        parent's owners *before* the fence, then the new table routes
-        to them, the router drains, and the parent's ledgers fold into
-        the owners' retired books under the parent id.  A request that
-        straddles the handoff was admitted under the old epoch against
-        the parent's captured tenant, so its answer is bit-identical
-        to the pre-split cluster's.
+        tuned the parent.  Children get fresh, never-reused shard ids
+        and are placed on the parent's owners before the fence; a
+        request that straddles the handoff was admitted under the old
+        epoch against the parent's captured tenant, so its answer is
+        bit-identical to the pre-split cluster's.
         """
         with self._lock:
-            return self._replace_shard(
-                shard,
-                n_children=2,
-                seed=self.cluster.seed if seed is None else seed,
-                workload=None,
-                center=None,
-                phase="split",
-                timeout_s=timeout_s,
-            )
+            return self._commit(self._plan("split", (shard,), 2))
 
     def re_tune_shard(
         self,
@@ -590,7 +780,6 @@ class TopologyManager:
         *,
         workload: KNNWorkload | None = None,
         center: np.ndarray | None = None,
-        timeout_s: float = _TOPOLOGY_DRAIN_S,
     ) -> int:
         """Replace one shard with a freshly tuned successor (same data).
 
@@ -601,15 +790,9 @@ class TopologyManager:
         Returns the successor's shard id.
         """
         with self._lock:
-            (child,) = self._replace_shard(
-                shard,
-                n_children=1,
-                seed=self.cluster.seed,
-                workload=workload,
-                center=center,
-                phase="re-tune",
-                timeout_s=timeout_s,
-            )
+            (child,) = self._commit(self._plan(
+                "re-tune", (shard,), 1, workload=workload, center=center,
+            ))
             return child
 
     def _drift_workload(self, shard: int) -> KNNWorkload | None:
@@ -624,10 +807,13 @@ class TopologyManager:
         points = cluster.shard_points[shard]
         if recent.shape[1] != points.shape[1]:
             return None
-        diff = recent[:, None, :] - points[None, :, :]
-        nearest = np.argmin(
-            np.einsum("qnd,qnd->qn", diff, diff), axis=1
-        ).astype(np.int64)
+        # blocks of recent queries bound the (block, n, d) difference
+        # array; each row's distances are computed exactly as unblocked
+        nearest = np.concatenate([
+            np.argmin(_distances_sq(recent[i:i + _ANCHOR_BLOCK], points),
+                      axis=1)
+            for i in range(0, recent.shape[0], _ANCHOR_BLOCK)
+        ]).astype(np.int64)
         k = cluster.tuning_slices[shard].k
         k = min(k, points.shape[0])
         radii = exact_knn_radii(points, points[nearest], k)
@@ -660,424 +846,40 @@ class TopologyManager:
             applied.append(record)
         return applied
 
-    def _replace_shard(
-        self,
-        shard: int,
-        *,
-        n_children: int,
-        seed: int,
-        workload: KNNWorkload | None,
-        center: np.ndarray | None,
-        phase: str,
-        timeout_s: float,
-    ) -> tuple[int, ...]:
-        """Common machinery of split (2 children) and re-tune (1).
-
-        Caller holds ``self._lock``.
-        """
-        cluster = self.cluster
-        row = cluster._row_of(shard)
-        owner_names = cluster.router.table.owners_of(shard)
-        if not owner_names:
-            raise InputValidationError(
-                f"shard {shard} has no owners to carry its successors"
-            )
-        base_workload = (
-            workload if workload is not None
-            else cluster.tuning_slices[shard]
-        )
-        parent_points = cluster.shard_points[shard]
-        parent_locals = cluster._local_ids[shard]
-
-        # --- admission: the reorg budget sees the change up front ----
-        estimate = max(
-            1,
-            cluster.shard_configs[shard].tuning_io_ops * n_children,
-        )
-        self.governor.require_ops(estimate, phase=phase)
-
-        # --- carve the children out of the parent --------------------
-        if n_children == 1:
-            point_half = np.zeros(parent_points.shape[0], dtype=np.int64)
-            query_half = np.zeros(base_workload.n_queries, dtype=np.int64)
-            centroids = [
-                np.asarray(center, dtype=np.float64)
-                if center is not None
-                else cluster.partition.centroids[row].copy()
-            ]
-        else:
-            if base_workload.n_queries < n_children:
-                raise PredictionError(
-                    f"shard {shard} has only {base_workload.n_queries} "
-                    f"tuning queries; cannot split into {n_children}"
-                )
-            child_part = partition_workload(
-                base_workload, n_children, seed=seed
-            )
-            point_half = child_part.shard_of(parent_points)
-            query_half = child_part.assignments
-            centroids = [child_part.centroids[h] for h in range(n_children)]
-
-        from .cluster import _MIN_SHARD_POINTS
-        children = []
-        for half in range(n_children):
-            idx = np.flatnonzero(point_half == half)
-            q_mask = query_half == half
-            if idx.size < _MIN_SHARD_POINTS or not np.any(q_mask):
-                raise PredictionError(
-                    f"splitting shard {shard} would create a sliver "
-                    f"({idx.size} points, {int(np.count_nonzero(q_mask))} "
-                    f"queries in half {half}); a geometry cannot be "
-                    f"fitted on a sliver -- topology unchanged"
-                )
-            parent_to_child = {int(g): j for j, g in enumerate(idx)}
-            try:
-                child_qids = np.fromiter(
-                    (parent_to_child[int(g)]
-                     for g in base_workload.query_ids[q_mask]),
-                    dtype=np.int64,
-                    count=int(np.count_nonzero(q_mask)),
-                )
-            except KeyError as missing:
-                raise InputValidationError(
-                    f"tuning query id {missing.args[0]} of shard {shard} "
-                    f"does not land in its own child's slice; re-tune "
-                    f"workloads must be drawn from the shard's data"
-                ) from None
-            child_workload = KNNWorkload(
-                k=base_workload.k,
-                query_ids=child_qids,
-                queries=base_workload.queries[q_mask],
-                radii=base_workload.radii[q_mask],
-            )
-            children.append({
-                "idx": idx,
-                "points": parent_points[idx],
-                "workload": child_workload,
-                "centroid": centroids[half],
-                "parent_to_child": parent_to_child,
-            })
-
-        # --- tune each child on its own slice, charging the budget ---
-        base = cluster._next_shard_id
-        charged = 0
-        for offset, child in enumerate(children):
-            config = tune_shard(
-                base + offset, child["points"], child["workload"],
-                memory=cluster.memory, page_sizes=cluster.page_sizes,
-                base_disk=cluster.base_disk, method=cluster.tuning_method,
-                seed=seed, kernel=cluster.kernel,
-            )
-            child["config"] = config
-            charged += config.tuning_io_ops
-        self._charge(phase, charged)
-
-        # --- register children on the parent's owners ----------------
-        # The first live owner fits once; every other owner adopts the
-        # fitted bytes first, so registration is a verified hit --
-        # at most one fit per child shard, cluster-wide.
-        for offset, child in enumerate(children):
-            child_id = base + offset
-            donor = None
-            for owner in owner_names:
-                replica = cluster.replicas[owner]
-                if replica.down or replica.service is None:
-                    continue
-                if donor is not None:
-                    data = (
-                        cluster.replicas[donor]
-                        .artifact_path(child_id).read_bytes()
-                    )
-                    replica.adopt_shard_bytes(child_id, data)
-                replica.register_shard(
-                    child_id, child["points"], child["config"],
-                    fit_seed=cluster.fit_seed,
-                )
-                if donor is None:
-                    donor = owner
-            if donor is None:
-                raise InputValidationError(
-                    f"no live owner of shard {shard} can carry its "
-                    f"successors; restart an owner first"
-                )
-            cluster.shard_points[child_id] = child["points"]
-            cluster.shard_configs[child_id] = child["config"]
-            cluster.tuning_slices[child_id] = child["workload"]
-            cluster._local_ids[child_id] = {
-                g: child["parent_to_child"][local]
-                for g, local in parent_locals.items()
-                if local in child["parent_to_child"]
-            }
-        child_ids = tuple(base + i for i in range(n_children))
-        cluster._next_shard_id += n_children
-
-        # --- new partition geometry: successor centroids -------------
-        new_centroids = cluster.partition.centroids.copy()
-        new_centroids[row] = children[0]["centroid"]
-        if n_children > 1:
-            new_centroids = np.vstack(
-                [new_centroids]
-                + [c["centroid"][None, :] for c in children[1:]]
-            )
-        cluster._row_to_shard[row] = child_ids[0]
-        cluster._row_to_shard.extend(child_ids[1:])
-        probe = WorkloadPartition(
-            centroids=new_centroids,
-            assignments=np.zeros(0, dtype=np.int64),
-        )
-        cluster.partition = WorkloadPartition(
-            centroids=new_centroids,
-            assignments=probe.shard_of(cluster.tuning_workload.queries),
-        )
-
-        # --- fence, drain, fold --------------------------------------
-        old = cluster.router.table
-        owners = {
-            s: o for s, o in old.owners.items() if s != shard
-        }
-        costs = {
-            s: dict(c) for s, c in old.costs.items() if s != shard
-        }
-        # Only owners that actually registered the children (the live
-        # ones) are routable for them -- a down parent owner never got
-        # the successor tenants, and listing it would route to a
-        # replica that will refuse the shard even after restarting.
-        live_owners = [
-            n for n in owner_names
-            if not cluster.replicas[n].down
-            and cluster.replicas[n].service is not None
-        ]
-        for offset, child in enumerate(children):
-            child_id = base + offset
-            cost = {
-                name: child["config"].predicted_seconds
-                * cluster.replicas[name].latency_factor
-                for name in live_owners
-            }
-            owners[child_id] = self._ordered(live_owners, cost)
-            costs[child_id] = cost
-        table = self._install(owners, costs)
-        cluster.router.drain(timeout_s=timeout_s)
-        for owner in owner_names:
-            replica = cluster.replicas.get(owner)
-            if replica is not None:
-                replica.retire_shard(shard)
-        cluster.retired_shards[shard] = {
-            "children": child_ids,
-            "epoch": table.epoch,
-            "reason": phase,
-        }
-        self.drift.freeze(self._current_centers())
-        self.events.append({
-            "op": phase,
-            "shard": shard,
-            "children": list(child_ids),
-            "epoch": table.epoch,
-            "charged_ops": charged,
-        })
-        return child_ids
-
-    def merge_shards(
-        self,
-        a: int,
-        b: int,
-        *,
-        timeout_s: float = _TOPOLOGY_DRAIN_S,
-    ) -> int:
+    def merge_shards(self, a: int, b: int) -> int:
         """Merge two shards into one fresh successor -- split, inverted.
 
-        The parents' tuning slices are concatenated (b's query ids
-        re-anchored past a's points), the merged shard is re-tuned on
-        the combined slice exactly as construction tuned each parent,
-        and it gets a fresh never-reused id.  Admission is charged
-        against the reorg budget *before* any surgery, and a merged
-        configuration that would immediately re-trip ``split_when``
-        against the surviving siblings is refused (typed) with the
-        routing table untouched -- merging and promptly re-splitting is
-        the flap the hysteresis band exists to prevent.  The handoff is
-        the same fence-drain-fold as a split: the merged shard is
-        registered on the union of the parents' live owners (one fit,
-        peers adopt the donor's bytes), the new table lands under a
-        strictly larger epoch, the router drains -- a straddling
-        request admitted under the old epoch still answers
-        bit-identically against the parent tenant it captured -- and
-        both parents' ledgers fold into the owners' retired books.
+        The parents are pooled (b's query ids re-anchored past a's
+        points), the merged shard is re-tuned on the combined slice
+        exactly as construction tuned each parent, and it gets a fresh
+        never-reused id.  Admission is charged against the reorg budget
+        *before* any surgery, and a merged configuration that would
+        immediately re-trip ``split_when`` against the surviving
+        siblings is refused (typed) with the routing table untouched --
+        merging and promptly re-splitting is the flap the hysteresis
+        band exists to prevent.  The handoff is the same fence as a
+        split: a straddling request admitted under the old epoch still
+        answers bit-identically against the parent tenant it captured,
+        and both parents' ledgers fold into the owners' retired books.
         Returns the merged shard's id.
         """
         with self._lock:
-            cluster = self.cluster
             if a == b:
                 raise InputValidationError(
                     f"cannot merge shard {a} with itself"
                 )
-            row_a = cluster._row_of(a)
-            row_b = cluster._row_of(b)
-            table = cluster.router.table
-            owners_a = table.owners_of(a)
-            owners_b = table.owners_of(b)
-            owner_names = list(owners_a)
-            owner_names += [n for n in owners_b if n not in owner_names]
-
-            points_a = cluster.shard_points[a]
-            points_b = cluster.shard_points[b]
-            n_a = points_a.shape[0]
-            slice_a = cluster.tuning_slices[a]
-            slice_b = cluster.tuning_slices[b]
-
-            # --- admission: the reorg budget sees the merge up front --
-            estimate = max(
-                1,
-                cluster.shard_configs[a].tuning_io_ops
-                + cluster.shard_configs[b].tuning_io_ops,
-            )
-            self.governor.require_ops(estimate, phase="merge")
-
-            # --- re-tune the merged shard on the combined slice -------
-            merged_points = np.vstack([points_a, points_b])
-            merged_workload = KNNWorkload(
-                k=min(slice_a.k, slice_b.k),
-                query_ids=np.concatenate(
-                    [slice_a.query_ids, slice_b.query_ids + n_a]
-                ),
-                queries=np.vstack([slice_a.queries, slice_b.queries]),
-                radii=np.concatenate([slice_a.radii, slice_b.radii]),
-            )
-            merged_id = cluster._next_shard_id
-            config = tune_shard(
-                merged_id, merged_points, merged_workload,
-                memory=cluster.memory, page_sizes=cluster.page_sizes,
-                base_disk=cluster.base_disk,
-                method=cluster.tuning_method,
-                seed=cluster.seed, kernel=cluster.kernel,
-            )
-            self._charge("merge", config.tuning_io_ops)
-
-            # --- refuse a merge that would immediately re-trip --------
-            survivors = [
-                cluster.shard_configs[s].predicted_seconds
-                for s in cluster.active_shards() if s not in (a, b)
-            ]
-            if survivors:
-                baseline = float(np.median(survivors))
-                if (baseline > 0
-                        and config.predicted_seconds / baseline
-                        >= self.split_when):
-                    raise PredictionError(
-                        f"merging shards {a}+{b} would re-trip "
-                        f"split_when immediately (merged cost "
-                        f"{config.predicted_seconds:.4g} is "
-                        f"{config.predicted_seconds / baseline:.2f}x "
-                        f"the sibling median, threshold "
-                        f"{self.split_when:g}) -- topology unchanged"
-                    )
-
-            # --- register the merged shard on the parents' owners -----
-            # One fit on the first live owner; every other owner adopts
-            # the donor's exact bytes, so the merged artifact exists at
-            # most one fit cluster-wide -- same contract as a split.
-            donor = None
-            for owner in owner_names:
-                replica = cluster.replicas.get(owner)
-                if replica is None or replica.down or replica.service is None:
-                    continue
-                if donor is not None:
-                    data = (
-                        cluster.replicas[donor]
-                        .artifact_path(merged_id).read_bytes()
-                    )
-                    replica.adopt_shard_bytes(merged_id, data)
-                replica.register_shard(
-                    merged_id, merged_points, config,
-                    fit_seed=cluster.fit_seed,
+            plan = self._plan("merge", (a, b), 1)
+            merged = plan.children[0].config.predicted_seconds
+            ratio = self._sibling_ratio(merged, (a, b))
+            if ratio is not None and ratio >= self.split_when:
+                raise PredictionError(
+                    f"merging shards {a}+{b} would re-trip split_when "
+                    f"immediately (merged cost {merged:.4g} is "
+                    f"{ratio:.2f}x the sibling median, threshold "
+                    f"{self.split_when:g}) -- topology unchanged"
                 )
-                if donor is None:
-                    donor = owner
-            if donor is None:
-                raise InputValidationError(
-                    f"no live owner of shards {a}/{b} can carry their "
-                    f"merged successor; restart an owner first"
-                )
-            cluster.shard_points[merged_id] = merged_points
-            cluster.shard_configs[merged_id] = config
-            cluster.tuning_slices[merged_id] = merged_workload
-            merged_locals = dict(cluster._local_ids[a])
-            for g, local in cluster._local_ids[b].items():
-                # a global id present in both parents (both were sliver
-                # shards serving the full dataset) keeps a's anchor --
-                # the point values are identical either way
-                merged_locals.setdefault(g, local + n_a)
-            cluster._local_ids[merged_id] = merged_locals
-            cluster._next_shard_id += 1
-
-            # --- new partition geometry: one centroid for two rows ----
-            n_b = points_b.shape[0]
-            centroid = (
-                n_a * cluster.partition.centroids[row_a]
-                + n_b * cluster.partition.centroids[row_b]
-            ) / (n_a + n_b)
-            keep = [
-                r for r in range(len(cluster._row_to_shard))
-                if r not in (row_a, row_b)
-            ]
-            new_centroids = np.vstack(
-                [cluster.partition.centroids[keep], centroid[None, :]]
-            )
-            cluster._row_to_shard = [
-                cluster._row_to_shard[r] for r in keep
-            ] + [merged_id]
-            probe = WorkloadPartition(
-                centroids=new_centroids,
-                assignments=np.zeros(0, dtype=np.int64),
-            )
-            cluster.partition = WorkloadPartition(
-                centroids=new_centroids,
-                assignments=probe.shard_of(
-                    cluster.tuning_workload.queries
-                ),
-            )
-
-            # --- fence, drain, fold -----------------------------------
-            old = cluster.router.table
-            owners = {
-                s: o for s, o in old.owners.items() if s not in (a, b)
-            }
-            costs = {
-                s: dict(c) for s, c in old.costs.items() if s not in (a, b)
-            }
-            live_owners = [
-                n for n in owner_names
-                if cluster.replicas.get(n) is not None
-                and not cluster.replicas[n].down
-                and cluster.replicas[n].service is not None
-            ]
-            cost = {
-                name: config.predicted_seconds
-                * cluster.replicas[name].latency_factor
-                for name in live_owners
-            }
-            owners[merged_id] = self._ordered(live_owners, cost)
-            costs[merged_id] = cost
-            new_table = self._install(owners, costs)
-            cluster.router.drain(timeout_s=timeout_s)
-            for parent, parent_owners in ((a, owners_a), (b, owners_b)):
-                for owner in parent_owners:
-                    replica = cluster.replicas.get(owner)
-                    if replica is not None:
-                        replica.retire_shard(parent)
-                cluster.retired_shards[parent] = {
-                    "children": (merged_id,),
-                    "epoch": new_table.epoch,
-                    "reason": "merge",
-                }
-            self.drift.freeze(self._current_centers())
-            self.events.append({
-                "op": "merge",
-                "shards": [a, b],
-                "children": [merged_id],
-                "epoch": new_table.epoch,
-                "charged_ops": config.tuning_io_ops,
-            })
-            return merged_id
+            (child,) = self._commit(plan)
+            return child
 
     # ------------------------------------------------------------------
     # Introspection

@@ -289,8 +289,8 @@ class Replica:
     def adopt_shard_bytes(self, shard: int, data: bytes):
         """Install a peer's verified artifact bytes for a shard.
 
-        The scale-out warm path: the new replica adopts an existing
-        owner's bytes *before* registering the shard, so the
+        The topology placement path: a new owner adopts a verified
+        peer's bytes *before* registering the shard, so the
         registration's ``load_or_fit`` is a verified hit and the warm
         start costs zero refits.  Returns the adopted model.
         """

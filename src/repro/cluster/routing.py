@@ -16,9 +16,9 @@ Two failure modes get special handling:
   first*: the outstanding leg keeps running (a submitted request always
   resolves and always settles its ledger), and whichever leg finishes
   first with a usable verdict is served.  Loser legs are retained on
-  the response and resolved by :meth:`Router.drain`, so the
-  reconciliation invariant can account for every charged op including
-  hedged losers.
+  the response, and the router folds every leg into its per-epoch op
+  book once it resolves (:meth:`Router.drain` waits for the rest), so
+  reconciliation accounts for every charged op including hedged losers.
 * **every owner down** -- with ``degrade=True`` and a fallback
   installed, the router serves an explicitly *degraded* closed-form
   answer (``method_used="closed_form"``, ``cause="unavailable"``);
@@ -203,7 +203,10 @@ class Router:
         # defeat the single-kill availability guarantee.
         self._breakers: dict[tuple[str, int], CircuitBreaker] = {}
         self._ids = itertools.count(1)
-        self._legs: list[_Leg] = []
+        #: submitted legs not yet folded into ``_books``
+        self._outstanding: set[_Leg] = set()
+        #: charged ops of every settled leg, per (epoch, shard)
+        self._books: dict[int, Counter] = {}
         self._lock = threading.Lock()
         #: lifetime counters
         self.dispatches = 0
@@ -213,6 +216,7 @@ class Router:
         self.unavailable = 0
         self.table_installs = 0
         self.stale_rejections = 0
+        self.legs = 0
 
     # ------------------------------------------------------------------
 
@@ -260,13 +264,17 @@ class Router:
         for breaker in breakers:
             breaker.reset()
 
+    def _breaker_states(self) -> dict[str, str]:
+        """Caller holds ``self._lock``."""
+        return {
+            f"{name}/shard-{shard}": breaker.state
+            for (name, shard), breaker in sorted(self._breakers.items())
+        }
+
     def probe(self) -> dict:
         """Health snapshot the routing decisions are based on."""
         with self._lock:
-            states = {
-                f"{name}/shard-{shard}": breaker.state
-                for (name, shard), breaker in sorted(self._breakers.items())
-            }
+            states = self._breaker_states()
         return {
             "replicas": {
                 name: replica.healthy()
@@ -306,21 +314,28 @@ class Router:
             table = self.table
             if epoch is not None and epoch != table.epoch:
                 self.stale_rejections += 1
-                stale = StaleRoutingEpochError(shard, epoch, table.epoch)
-            else:
-                stale = None
-                self.dispatches += 1
-        if stale is not None:
-            raise stale
+                raise StaleRoutingEpochError(shard, epoch, table.epoch)
+            self.dispatches += 1
         owners = table.owners_of(shard)
         tried: list[tuple[str, str]] = []
         legs: list[_Leg] = []
+        slow: list[_Leg] = []
         hedged = False
+
+        def respond(status: str, **fields) -> ClusterResponse:
+            return ClusterResponse(
+                shard=shard, request_id=request_id, status=status,
+                method_requested=method, hedged=hedged, tried=list(tried),
+                routing_version=table.version, routing_epoch=table.epoch,
+                latency_s=time.monotonic() - started, legs=list(legs),
+                **fields,
+            )
 
         def verdict_of(leg: _Leg, response: ServiceResponse
                        ) -> ClusterResponse | None:
             """A usable verdict wins; an error response feeds the
             breaker and the tried record, and the walk continues."""
+            self._fold([leg])
             if response.status == "error":
                 self.breaker_for(leg.replica, shard).record_failure()
                 tried.append((leg.replica, f"error:{response.error_type}"))
@@ -331,22 +346,13 @@ class Router:
             if failover_from is not None:
                 with self._lock:
                     self.failovers += 1
-            return ClusterResponse(
-                shard=shard,
-                request_id=request_id,
-                status=response.status,
+            return respond(
+                response.status,
                 result=response.result,
-                method_requested=method,
                 method_used=response.method_used,
                 served_by=leg.replica,
                 failover_from=failover_from,
-                hedged=hedged,
-                tried=list(tried),
                 cause=response.cause,
-                routing_version=table.version,
-                routing_epoch=table.epoch,
-                latency_s=time.monotonic() - started,
-                legs=list(legs),
             )
 
         # --- phase 1: walk the cost order, hedging past slow legs -----
@@ -384,8 +390,7 @@ class Router:
                 continue
             leg = _Leg(name, shard, pending, epoch=table.epoch)
             legs.append(leg)
-            with self._lock:
-                self._legs.append(leg)
+            self._track(leg)
             try:
                 response = leg.wait(
                     min(self.hedge_after_s, max(0.0, deadline - time.monotonic()))
@@ -394,6 +399,7 @@ class Router:
                 # Slow leg: hedge to the next candidate, leave this one
                 # running -- it may still win in phase 2.
                 tried.append((name, "slow"))
+                slow.append(leg)
                 hedged = True
                 with self._lock:
                     self.hedges += 1
@@ -403,66 +409,57 @@ class Router:
                 return won
 
         # --- phase 2: wait out the hedged legs until the deadline -----
-        settled: set[int] = set()
-        while time.monotonic() < deadline:
-            outstanding = [
-                leg for i, leg in enumerate(legs)
-                if i not in settled and leg.done()
-            ]
-            for leg in outstanding:
-                settled.add(legs.index(leg))
+        # (a leg judged in phase 1 is never judged again: its failure
+        # is already on the breaker and in the tried record)
+        while slow and time.monotonic() < deadline:
+            for leg in [leg for leg in slow if leg.done()]:
+                slow.remove(leg)
                 won = verdict_of(leg, leg.wait(0.0))
                 if won is not None:
                     return won
-            if len(settled) == len(legs):
-                break
-            time.sleep(0.002)
+            if slow:
+                time.sleep(0.002)
 
         # --- no leg produced a verdict: degrade or fail, typed --------
         error = ReplicaUnavailableError(shard, tried)
+        unavailable = dict(cause="unavailable", error=str(error),
+                           error_type=type(error).__name__)
         if (degrade and self.degraded_fallback is not None):
             result = self.degraded_fallback(shard, workload)
             with self._lock:
                 self.degraded_served += 1
-            return ClusterResponse(
-                shard=shard,
-                request_id=request_id,
-                status="degraded",
-                result=result,
-                method_requested=method,
-                method_used="closed_form",
-                hedged=hedged,
-                tried=list(tried),
-                cause="unavailable",
-                error=str(error),
-                error_type=type(error).__name__,
-                routing_version=table.version,
-                routing_epoch=table.epoch,
-                latency_s=time.monotonic() - started,
-                legs=list(legs),
+            return respond(
+                "degraded", result=result, method_used="closed_form",
+                **unavailable,
             )
         with self._lock:
             self.unavailable += 1
-        return ClusterResponse(
-            shard=shard,
-            request_id=request_id,
-            status="error",
-            method_requested=method,
-            hedged=hedged,
-            tried=list(tried),
-            cause="unavailable",
-            error=str(error),
-            error_type=type(error).__name__,
-            routing_version=table.version,
-            routing_epoch=table.epoch,
-            latency_s=time.monotonic() - started,
-            legs=list(legs),
-        )
+        return respond("error", **unavailable)
 
     # ------------------------------------------------------------------
 
+    def _track(self, leg: _Leg) -> None:
+        """Count a new leg; fold every earlier one resolved since (a
+        hedged loser resolves after its request returned)."""
+        with self._lock:
+            self.legs += 1
+            resolved = [old for old in self._outstanding if old.done()]
+            self._outstanding.add(leg)
+        self._fold(resolved)
+
+    def _fold(self, legs, timeout_s: float = _DRAIN_TIMEOUT_S) -> None:
+        """Fold each leg's charge into the book once, then drop it."""
+        for leg in legs:
+            ops = leg.wait(timeout_s).io_ops
+            with self._lock:
+                if leg in self._outstanding:
+                    self._outstanding.remove(leg)
+                    book = self._books.setdefault(leg.epoch, Counter())
+                    book[leg.shard] += ops
+
     def drain(self, *, timeout_s: float = _DRAIN_TIMEOUT_S) -> Counter:
-        """Resolve every leg ever submitted; per-shard charged-op sums.
+        """Resolve every outstanding leg; per-shard charged-op sums over
+        every leg ever submitted.
 
         Hedged loser legs keep running after their request was served;
         reconciliation is only exact once they have all settled.  The
@@ -470,10 +467,8 @@ class Router:
         expiry raises :class:`TimeoutError` and *is* a violation.
         """
         shard_ops: Counter = Counter()
-        with self._lock:
-            legs = list(self._legs)
-        for leg in legs:
-            shard_ops[leg.shard] += leg.wait(timeout_s).io_ops
+        for book in self.epoch_ops(timeout_s=timeout_s).values():
+            shard_ops.update(book)
         return shard_ops
 
     def epoch_ops(
@@ -488,13 +483,13 @@ class Router:
         straddled the fence lands in the epoch that submitted it, once,
         never dropped, never double-counted.
         """
-        books: dict[int, Counter] = {}
         with self._lock:
-            legs = list(self._legs)
-        for leg in legs:
-            ops = leg.wait(timeout_s).io_ops
-            books.setdefault(leg.epoch, Counter())[leg.shard] += ops
-        return books
+            legs = list(self._outstanding)
+        self._fold(legs, timeout_s)
+        with self._lock:
+            return {
+                epoch: Counter(book) for epoch, book in self._books.items()
+            }
 
     def in_flight(self) -> int:
         """Legs submitted but not yet resolved.
@@ -504,8 +499,7 @@ class Router:
         report it at window edges.
         """
         with self._lock:
-            legs = list(self._legs)
-        return sum(1 for leg in legs if not leg.done())
+            return sum(1 for leg in self._outstanding if not leg.done())
 
     def metrics(self) -> dict:
         with self._lock:
@@ -517,12 +511,8 @@ class Router:
                 "unavailable": self.unavailable,
                 "table_installs": self.table_installs,
                 "stale_rejections": self.stale_rejections,
-                "legs": len(self._legs),
+                "legs": self.legs,
                 "routing_epoch": self.table.epoch,
                 "routing_version": self.table.version,
-                "breakers": {
-                    f"{name}/shard-{shard}": breaker.state
-                    for (name, shard), breaker
-                    in sorted(self._breakers.items())
-                },
+                "breakers": self._breaker_states(),
             }

@@ -420,3 +420,29 @@ class TestPredictionCluster:
 
     def test_tenant_key_naming(self):
         assert shard_tenant(3) == "shard-3"
+
+
+class TestErrorLegs:
+    def test_failed_leg_is_judged_once(self, cluster):
+        """A leg whose error verdict was already recorded in the cost
+        walk must not be re-judged while the router waits for hedged
+        legs: one tried entry and one breaker failure per leg."""
+        from repro.errors import PredictionError
+
+        def fail(item):
+            raise PredictionError("injected")
+
+        owners = cluster.router.table.owners_of(0)
+        for name in owners:
+            cluster.replicas[name].request_hook = fail
+        workload = cluster.partition.split(cluster.make_workload(6, 4))[0][2]
+        response = cluster.request(0, workload)
+        assert response.status == "degraded"
+        assert response.tried == [
+            (name, "error:PredictionError") for name in owners
+        ]
+        # one failure per breaker stays under min_calls=2: still closed
+        for name in owners:
+            breaker = cluster.router.breaker_for(name, 0)
+            assert breaker.state == "closed"
+            assert breaker.opened_count == 0

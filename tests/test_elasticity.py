@@ -23,7 +23,11 @@ The guarantees under test:
 
 from __future__ import annotations
 
+import gc
 import threading
+import tracemalloc
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,7 +35,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hyp_st
 
 from repro.cluster import PredictionCluster, RoutingTable
-from repro.cluster.elasticity import DriftDetector
+from repro.cluster.elasticity import DriftDetector, TopologyManager
 from repro.errors import (
     BudgetExceededError,
     InputValidationError,
@@ -39,6 +43,7 @@ from repro.errors import (
     StaleRoutingEpochError,
 )
 from repro.runtime.budget import Budget
+from repro.service.artifacts import fit_model
 from repro.workload.queries import (
     KNNWorkload,
     density_biased_knn_workload,
@@ -768,3 +773,134 @@ class TestDegenerateDrift:
         detector.observe(0, np.full((8, 3), 5.0))
         assert detector.report()["degenerate"] is False
         assert detector.drift(0) > 0.0
+
+
+class TestFencedPlacement:
+    """Successors are routed only to the owners that registered them,
+    and a refused surgery burns its ids instead of leaving state."""
+
+    def test_successor_skips_owner_restarted_mid_placement(
+        self, cluster, monkeypatch
+    ):
+        # replica-1 is down when child 2 is placed and comes back while
+        # replica-2 registers it: replica-1 never owns child 2, so the
+        # table must not route child 2 to it
+        assert cluster.router.table.owners_of(1) == ("replica-1", "replica-2")
+        cluster.kill_replica("replica-1")
+        survivor = cluster.replicas["replica-2"]
+        register = survivor.register_shard
+
+        def register_then_restart(shard, *args, **kwargs):
+            register(shard, *args, **kwargs)
+            if shard == 2:
+                cluster.restart_replica("replica-1")
+
+        monkeypatch.setattr(survivor, "register_shard", register_then_restart)
+        children = cluster.split_shard(1)
+        assert children == (2, 3)
+        table = cluster.router.table
+        assert table.owners_of(2) == ("replica-2",)
+        assert set(table.owners_of(3)) == {"replica-1", "replica-2"}
+        for child in children:
+            for name in table.owners_of(child):
+                assert child in cluster.replicas[name].shards()
+            response = cluster.request(child, shard_workload(cluster, child))
+            assert response.ok
+            assert response.tried == [] and response.failover_from is None
+
+    def test_failed_surgery_burns_its_ids(self, cluster, monkeypatch):
+        survivor = cluster.replicas["replica-2"]
+        register = survivor.register_shard
+
+        def register_then_kill_owners(shard, *args, **kwargs):
+            register(shard, *args, **kwargs)
+            if shard == 2:
+                cluster.kill_replica("replica-1")
+                cluster.kill_replica("replica-2")
+
+        monkeypatch.setattr(
+            survivor, "register_shard", register_then_kill_owners
+        )
+        epoch = cluster.router.table.epoch
+        with pytest.raises(InputValidationError, match="no live owner"):
+            cluster.split_shard(1)
+        monkeypatch.undo()
+        assert cluster.router.table.epoch == epoch
+        assert cluster.active_shards() == [0, 1]
+        assert cluster._next_shard_id == 4
+        assert not {2, 3} & set(cluster.shard_points)
+        for name in ("replica-1", "replica-2"):
+            cluster.restart_replica(name)
+
+        # the failed split's child-2 artifact must never serve a merge
+        merged = cluster.merge_shards(1, 0)
+        assert merged == 4
+        config = cluster.shard_configs[merged]
+        workload = shard_workload(cluster, merged)
+        expected = fit_model(
+            cluster.shard_points[merged], c_data=config.c_data,
+            c_dir=config.c_dir, memory=MEMORY, seed=cluster.fit_seed,
+        ).predict(workload).per_query
+        owners = cluster.router.table.owners_of(merged)
+        assert set(owners) == {"replica-0", "replica-1", "replica-2"}
+        for name in owners:
+            served = cluster.replicas[name].submit(merged, workload)
+            response = served.result(30.0)
+            assert response.status == "ok"
+            assert np.array_equal(response.result.per_query, expected)
+
+
+class TestDriftAnchoring:
+    def test_anchoring_is_blocked_and_exact(self):
+        """Anchoring recent queries on a large shard must not allocate
+        a queries x points x d array, and must pick exactly the points
+        the unblocked formula picks."""
+        rng = np.random.default_rng(4)
+        points = rng.normal(size=(2000, 16))
+        recent = rng.normal(size=(256, 16))
+        manager = SimpleNamespace(
+            cluster=SimpleNamespace(
+                shard_points={0: points},
+                tuning_slices={0: SimpleNamespace(k=4)},
+            ),
+            drift=SimpleNamespace(recent_queries=lambda shard: recent),
+        )
+        tracemalloc.start()
+        try:
+            workload = TopologyManager._drift_workload(manager, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # unblocked, the difference array alone is 256*2000*16*8 = 64 MB
+        assert peak < 24 * 2**20
+        diff = recent[:, None, :] - points[None, :, :]
+        expected = np.argmin(np.einsum("qnd,qnd->qn", diff, diff), axis=1)
+        assert np.array_equal(workload.query_ids, expected)
+        assert np.array_equal(workload.queries, points[expected])
+
+
+class TestLegBook:
+    def test_router_keeps_no_settled_leg(self, cluster):
+        workload = cluster.make_workload(8, 4, seed=3)
+        refs = []
+        for seed in range(4):
+            prediction = cluster.predict(workload, method="cutoff", seed=seed)
+            assert prediction.complete
+            refs += [
+                weakref.ref(leg.pending)
+                for response in prediction.responses
+                for leg in response.legs
+            ]
+        del prediction
+        assert cluster.router.metrics()["legs"] == len(refs) > 0
+        assert cluster.router.in_flight() == 0
+        drained = cluster.router.drain()
+        books = cluster.router.epoch_ops()
+        for shard in cluster.active_shards():
+            across = sum(book.get(shard, 0) for book in books.values())
+            assert drained[shard] == across == cluster.charged_ops(shard) > 0
+        # stopping joins the service workers, whose frames may still
+        # hold their last request: only the router could keep a leg now
+        cluster.stop()
+        gc.collect()
+        assert all(ref() is None for ref in refs)

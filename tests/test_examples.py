@@ -1,13 +1,15 @@
 """Smoke tests for the example scripts.
 
 Each example must import cleanly and expose a ``main`` entry point; the
-cheapest example (quickstart at a reduced scale) is executed end to end
-so a broken public API surfaces here, not in a user's terminal.
+cheap examples (quickstart at a reduced scale, page-size tuning, and
+the two cluster walkthroughs) are executed end to end so a broken
+public API surfaces here, not in a user's terminal.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -66,3 +68,21 @@ class TestExamples:
                                           "--scale", "0.01"])
         module.main()
         assert "predicted optimal page size" in capsys.readouterr().out
+
+    def test_sharded_cluster_runs(self, capsys):
+        _load("sharded_cluster").main()
+        out = capsys.readouterr().out
+        verdicts = re.findall(r"bit-identical[^:]*: (\w+)", out)
+        assert len(verdicts) == 2 and set(verdicts) == {"True"}
+
+    def test_elastic_cluster_runs(self, capsys):
+        # scale-out, drift re-tune, split and scale-in, all public API
+        _load("elastic_cluster").main()
+        out = capsys.readouterr().out
+        assert "refits 0" in out
+        verdicts = re.findall(r"bit-identical[^:]*: (\w+)", out)
+        assert verdicts and set(verdicts) == {"True"}
+        rows = re.findall(r"router (\d+) (\S+) ledgers (\d+)", out)
+        assert rows
+        for router, mark, ledgers in rows:
+            assert mark == "==" and router == ledgers
