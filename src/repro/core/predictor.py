@@ -187,11 +187,29 @@ class IndexCostPredictor:
     def topology(self, n_points: int) -> Topology:
         return Topology(n_points=n_points, c_data=self.c_data, c_dir=self.c_dir)
 
+    def _validated(
+        self, points: np.ndarray, workload: KNNWorkload | RangeWorkload | None = None
+    ) -> np.ndarray:
+        """``validate_points(points)``, also rejecting any disagreement
+        between the points', this predictor's and the workload's
+        dimensionality -- a kernel fed mismatched dimensions either
+        ignores the extra ones or fails with a raw broadcast error."""
+        points = validate_points(points)
+        dims = {"points": points.shape[1], "predictor dim": self.dim}
+        if workload is not None:
+            dims["workload"] = workload.dim
+        if len(set(dims.values())) > 1:
+            raise InputValidationError(
+                "dimensionality mismatch: "
+                + ", ".join(f"{name} {dim}-d" for name, dim in dims.items())
+            )
+        return points
+
     def make_workload(
         self, points: np.ndarray, n_queries: int, k: int, seed: int = 0
     ) -> KNNWorkload:
         """The paper's density-biased k-NN workload, seeded."""
-        points = validate_points(points)
+        points = self._validated(points)
         rng = np.random.default_rng(seed)
         return density_biased_knn_workload(points, n_queries, k, rng)
 
@@ -291,7 +309,7 @@ class IndexCostPredictor:
         """
         if method not in _METHODS:
             raise ValueError(f"unknown method {method!r}; options: {_METHODS}")
-        points = validate_points(points)
+        points = self._validated(points, workload)
         if hedge:
             if budget is None or budget.max_seconds is None:
                 raise InputValidationError(
@@ -330,12 +348,12 @@ class IndexCostPredictor:
         method="mini", seed=seed)``: the fused-grid contract guarantees
         each row equals its stand-alone ``count_knn``.
         """
-        points = validate_points(points)
         if not isinstance(workload, KNNWorkload):
             raise InputValidationError(
                 "predict_radius_grid needs a KNNWorkload: a radius grid "
                 "re-probes the same query spheres at different radii"
             )
+        points = self._validated(points, workload)
         rng = np.random.default_rng(seed)
         fraction = (sampling_fraction if sampling_fraction is not None
                     else min(1.0, self.memory / points.shape[0]))
@@ -668,7 +686,7 @@ class IndexCostPredictor:
         builder = OnDiskBuilder(
             self.c_data, self.c_dir, self.memory, config=self.config
         )
-        return builder.build(self.new_file(validate_points(points)))
+        return builder.build(self.new_file(self._validated(points)))
 
     def measure(
         self,
@@ -680,7 +698,7 @@ class IndexCostPredictor:
         """Measured ground truth: build (or reuse) the on-disk index and
         run the workload's queries on it.  The returned ``io_cost``
         covers the queries only; ``index.build_cost`` has the build."""
-        points = validate_points(points)
+        points = self._validated(points, workload)
         if index is None:
             index = self.build_ondisk(points)
         return measure_knn(index, workload)

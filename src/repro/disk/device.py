@@ -21,12 +21,19 @@ randomness -- so single-threaded callers pay nothing measurable.
 
 from __future__ import annotations
 
+import functools
 import threading
 
 from ..errors import DiskError
 from .accounting import DiskParameters, IOCost
 
 __all__ = ["SimulatedDisk"]
+
+
+@functools.lru_cache(maxsize=4096)
+def _access_cost(seeks: int, n_pages: int) -> IOCost:
+    """The cost of one access; shared, since ``IOCost`` is immutable."""
+    return IOCost(seeks=seeks, transfers=n_pages)
 
 
 class SimulatedDisk:
@@ -97,7 +104,7 @@ class SimulatedDisk:
             self._seeks += seeks
             self._transfers += n_pages
             self._head = start_page + n_pages
-        return IOCost(seeks=seeks, transfers=n_pages)
+        return _access_cost(seeks, n_pages)
 
     read = access
     write = access

@@ -7,7 +7,10 @@ streams the remaining dimensions as flat unit-stride gathers, pruning
 pairs as soon as their partial squared mindist exceeds the squared
 radius.  The tile height is chosen so the dense pass never materializes
 more than ``memory_cap_bytes`` of temporaries -- 10k queries against
-100k leaves runs in bounded memory no matter the workload shape.
+100k leaves runs in bounded memory no matter the workload shape.  The
+tile pass emits the surviving ``(query, leaf, dist_sq)`` pairs:
+``count_knn`` and ``count_grid`` count them, and ``knn_pairs`` hands
+them to the on-disk measurement, which orders its leaf reads by them.
 
 Pruning is exact, not approximate: squared gaps are non-negative and
 float addition of non-negative terms is monotone (``fl(s + x) >= s``),
@@ -69,23 +72,56 @@ class NumpyBatchedKernel:
         """Leaves whose mindist to ``queries[i]`` is within ``radii[i]``."""
         queries = np.ascontiguousarray(queries, dtype=np.float64)
         radii = np.asarray(radii, dtype=np.float64)
+        counts = np.zeros(queries.shape[0], dtype=np.int64)
+        for start, stop, rows, _, _ in self._pair_tiles(
+            geometry, queries, radii * radii
+        ):
+            counts[start:stop] = np.bincount(rows, minlength=stop - start)
+        return counts
+
+    def knn_pairs(
+        self, geometry: LeafGeometry, queries: np.ndarray, bound_sq: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every ``(query, leaf)`` pair with squared mindist within
+        ``bound_sq[query]``, as ``(rows, cols, dist_sq)`` sorted by
+        ``(row, col)``.
+
+        ``dist_sq`` is the exact squared mindist :meth:`count_knn` tests
+        (``count_knn`` is the per-row count of these pairs); the on-disk
+        measurement orders its leaf reads by it.
+        """
+        queries = np.ascontiguousarray(queries, dtype=np.float64)
+        bound_sq = np.asarray(bound_sq, dtype=np.float64)
+        parts = [
+            (rows + start, cols, dist_sq)
+            for start, _, rows, cols, dist_sq in self._pair_tiles(
+                geometry, queries, bound_sq
+            )
+        ]
+        if not parts:
+            empty = np.empty(0, dtype=np.intp)
+            return empty, empty, np.empty(0)
+        return tuple(np.concatenate(column) for column in zip(*parts))
+
+    def _pair_tiles(
+        self, geometry: LeafGeometry, queries: np.ndarray, bound_sq: np.ndarray
+    ):
+        """Per query tile: ``(start, stop, rows, cols, dist_sq)`` of the
+        pairs within ``bound_sq``, with ``rows`` local to the tile."""
         n_queries = queries.shape[0]
-        counts = np.zeros(n_queries, dtype=np.int64)
         if geometry.is_empty or n_queries == 0:
-            return counts
-        radii_sq = radii * radii
+            return
         tile = self._tile_height(n_queries, geometry.k)
         for start in range(0, n_queries, tile):
             stop = min(start + tile, n_queries)
-            counts[start:stop] = self._knn_tile(
-                geometry, queries[start:stop], radii_sq[start:stop]
+            yield (start, stop) + self._pairs_tile(
+                geometry, queries[start:stop], bound_sq[start:stop]
             )
-        return counts
 
     @staticmethod
-    def _knn_tile(
-        geometry: LeafGeometry, queries: np.ndarray, radii_sq: np.ndarray
-    ) -> np.ndarray:
+    def _pairs_tile(
+        geometry: LeafGeometry, queries: np.ndarray, bound_sq: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         lower_t, upper_t = geometry.lower_t, geometry.upper_t
         n_dims = lower_t.shape[0]
         # Dense pass over dimension 0: partial mindist^2 for every
@@ -94,7 +130,7 @@ class NumpyBatchedKernel:
         gap = np.maximum(lower_t[0][None, :] - point, 0.0)
         gap += np.maximum(point - upper_t[0][None, :], 0.0)
         gap *= gap
-        rows, cols = np.nonzero(gap <= radii_sq[:, None])
+        rows, cols = np.nonzero(gap <= bound_sq[:, None])
         dist_sq = gap[rows, cols]
         del gap
         # Stream the remaining dimensions over the surviving pairs only,
@@ -105,12 +141,12 @@ class NumpyBatchedKernel:
             gap_j += np.maximum(point_j - upper_t[j][cols], 0.0)
             gap_j *= gap_j
             dist_sq += gap_j
-            keep = dist_sq <= radii_sq[rows]
+            keep = dist_sq <= bound_sq[rows]
             if not keep.all():
                 rows = rows[keep]
                 cols = cols[keep]
                 dist_sq = dist_sq[keep]
-        return np.bincount(rows, minlength=queries.shape[0]).astype(np.int64)
+        return rows, cols, dist_sq
 
     # -- fused grid ------------------------------------------------------
 
@@ -120,7 +156,7 @@ class NumpyBatchedKernel:
     ) -> np.ndarray:
         """Fused (queries x radii) grid sharing one geometry pass.
 
-        The tile pass prunes each (query, leaf) pair against the
+        The pair pass prunes each (query, leaf) pair against the
         *envelope* -- that query's largest squared radius across the
         grid rows -- and keeps the exact squared mindist of the
         survivors.  Each row then re-tests the survivors against its
@@ -135,50 +171,18 @@ class NumpyBatchedKernel:
         grid = as_radii_grid(centers, radii_grid)
         n_rows, n_queries = grid.shape
         counts = np.zeros((n_rows, n_queries), dtype=np.int64)
-        if geometry.is_empty or n_queries == 0 or n_rows == 0:
+        if n_rows == 0:
             return counts
         grid_sq = grid * grid
-        envelope_sq = grid_sq.max(axis=0)
-        tile = self._tile_height(n_queries, geometry.k)
-        for start in range(0, n_queries, tile):
-            stop = min(start + tile, n_queries)
-            rows, dist_sq = self._grid_tile(
-                geometry, centers[start:stop], envelope_sq[start:stop]
-            )
-            width = stop - start
+        for start, stop, rows, _, dist_sq in self._pair_tiles(
+            geometry, centers, grid_sq.max(axis=0)
+        ):
             for r in range(n_rows):
                 hits = dist_sq <= grid_sq[r, start:stop][rows]
                 counts[r, start:stop] = np.bincount(
-                    rows[hits], minlength=width
-                ).astype(np.int64)
+                    rows[hits], minlength=stop - start
+                )
         return counts
-
-    @staticmethod
-    def _grid_tile(
-        geometry: LeafGeometry, queries: np.ndarray, envelope_sq: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Surviving (query-row, exact dist_sq) pairs under the envelope."""
-        lower_t, upper_t = geometry.lower_t, geometry.upper_t
-        n_dims = lower_t.shape[0]
-        point = queries[:, 0][:, None]
-        gap = np.maximum(lower_t[0][None, :] - point, 0.0)
-        gap += np.maximum(point - upper_t[0][None, :], 0.0)
-        gap *= gap
-        rows, cols = np.nonzero(gap <= envelope_sq[:, None])
-        dist_sq = gap[rows, cols]
-        del gap
-        for j in range(1, n_dims):
-            point_j = queries[rows, j]
-            gap_j = np.maximum(lower_t[j][cols] - point_j, 0.0)
-            gap_j += np.maximum(point_j - upper_t[j][cols], 0.0)
-            gap_j *= gap_j
-            dist_sq += gap_j
-            keep = dist_sq <= envelope_sq[rows]
-            if not keep.all():
-                rows = rows[keep]
-                cols = cols[keep]
-                dist_sq = dist_sq[keep]
-        return rows, dist_sq
 
     # -- range ----------------------------------------------------------
 

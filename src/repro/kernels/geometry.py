@@ -24,7 +24,19 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["LeafGeometry"]
+__all__ = ["LeafGeometry", "ordered_sum_sq"]
+
+
+def ordered_sum_sq(values: np.ndarray) -> np.ndarray:
+    """Sum of squares over the last axis, added in order j = 0 .. d-1.
+
+    The kernels' numeric contract (see :mod:`~repro.kernels.reference`)
+    for every squared distance in the package: MINDIST to a box and the
+    distance to a point alike.  With one order for both, a point is
+    never nearer than the box that holds it, and a box never nearer
+    than its parent's.
+    """
+    return np.cumsum(values * values, axis=-1)[..., -1]
 
 
 def _corner_matrix(value: np.ndarray, name: str) -> np.ndarray:

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..kernels.geometry import ordered_sum_sq
+
 __all__ = [
     "MBR",
     "mbr_of_points",
@@ -100,12 +102,12 @@ class MBR:
         )
 
     def mindist_sq(self, point: np.ndarray) -> float:
-        """Squared MINDIST from ``point`` to this box (0 if inside)."""
+        """Squared MINDIST from ``point`` to this box (0 if inside),
+        summed in the counting kernels' dimension order."""
         point = np.asarray(point, dtype=np.float64)
         below = np.maximum(self.lower - point, 0.0)
         above = np.maximum(point - self.upper, 0.0)
-        gap = below + above
-        return float(np.dot(gap, gap))
+        return float(ordered_sum_sq(below + above))
 
     def intersects_sphere(self, center: np.ndarray, radius: float) -> bool:
         return self.mindist_sq(center) <= radius * radius

@@ -8,6 +8,14 @@ once.  A node is read only when its MINDIST does not exceed the current
 k-th best distance, making leaf accesses minimal for the layout; that
 optimality is what ties measured accesses to the paper's
 sphere-intersection counts.
+
+Box MINDIST (:meth:`~repro.rtree.geometry.MBR.mindist_sq`) and point
+distances both add their squared per-dimension terms in the counting
+kernels' order (:func:`~repro.kernels.geometry.ordered_sum_sq`), so no
+point is ever nearer than its own leaf's box: over an MBR tree the
+search reads exactly the leaves within its final k-th distance, which
+is what lets :func:`~repro.ondisk.measure.measure_knn` replay its reads
+from a kernel pass.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ import itertools
 
 import numpy as np
 
+from ..kernels.geometry import ordered_sum_sq
 from .node import LeafNode, Node
 
 __all__ = ["best_first_knn", "incremental_nn"]
@@ -43,8 +52,7 @@ def incremental_nn(points, root, query):
             continue
         if payload.is_leaf:
             ids = np.asarray(payload.point_ids, dtype=np.int64)
-            diffs = points[ids] - query
-            dists_sq = np.einsum("nd,nd->n", diffs, diffs)
+            dists_sq = ordered_sum_sq(points[ids] - query)
             for pid, dsq in zip(ids.tolist(), dists_sq.tolist()):
                 heapq.heappush(heap, (dsq, next(counter), True, pid))
         else:
@@ -98,8 +106,7 @@ def best_first_knn(
             if collected is not None:
                 collected.append(node)
             ids = np.asarray(node.point_ids, dtype=np.int64)
-            diffs = points[ids] - query
-            dists_sq = np.einsum("nd,nd->n", diffs, diffs)
+            dists_sq = ordered_sum_sq(points[ids] - query)
             for pid, dsq in zip(ids.tolist(), dists_sq.tolist()):
                 if len(best) < k:
                     heapq.heappush(best, (-dsq, pid))

@@ -18,11 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..kernels.geometry import ordered_sum_sq
+
 __all__ = [
     "KNNWorkload",
     "RangeWorkload",
     "exact_knn_radii",
     "sampled_knn_radii",
+    "search_kth_sq",
     "density_biased_knn_workload",
     "density_biased_range_workload",
 ]
@@ -54,6 +57,10 @@ class KNNWorkload:
     @property
     def n_queries(self) -> int:
         return int(self.queries.shape[0])
+
+    @property
+    def dim(self) -> int:
+        return int(self.queries.shape[1])
 
     def with_radii(self, radii: np.ndarray) -> "KNNWorkload":
         """The same query centers probed at different radii.
@@ -87,6 +94,142 @@ class RangeWorkload:
     def n_queries(self) -> int:
         return int(self.lower.shape[0])
 
+    @property
+    def dim(self) -> int:
+        return int(self.lower.shape[1])
+
+
+#: target size of one block of squared distances (1 MiB): the block,
+#: its matrix product and its mask stay in cache
+_BLOCK_BYTES = 1 << 20
+#: at most this many queries per block (a multiple of 192)
+_QUERY_TILE = 3072
+#: at least this many points per block
+_MIN_POINT_ROWS = 256
+
+# A BLAS product computes the edge rows and columns of a matrix with
+# remainder kernels, whose sums can round differently.  The tiling keeps
+# every distance on the kernel it would get in one whole-matrix product:
+# query tiles start at multiples of 192 (a multiple of every common
+# column unroll), point tiles are a power of two (so they align with any
+# power-of-two chunking), and the last point tile absorbs the remainder,
+# so edge rows always sit in a tile at least ``_MIN_POINT_ROWS`` wide.
+
+
+def _point_tiles(n: int, n_queries: int, chunk_rows: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` of each point tile."""
+    if chunk_rows < 1:
+        raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
+    rows = _BLOCK_BYTES // 8 // max(1, min(n_queries, _QUERY_TILE))
+    rows = max(_MIN_POINT_ROWS, min(chunk_rows, rows))
+    rows = 1 << (rows.bit_length() - 1)
+    starts = list(range(0, max(n - rows, 0) + 1, rows))
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def _knn_scan(
+    points: np.ndarray,
+    queries: np.ndarray,
+    k: int,
+    slack_sq: np.ndarray | None,
+    chunk_rows: int,
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
+    """One blocked pass: every query's k-th smallest squared distance.
+
+    Each element is ``(q.q + p.p) - 2 (q.p)``, clamped at zero, with
+    ``q.p`` from one BLAS product per block.  A running k-best per
+    query prunes each block to the few entries below its current k-th
+    value, so only those are merged.  With ``slack_sq`` the pass also
+    returns, as ``(rows, cols, dist_sq)``, every pair whose distance is
+    below the final k-th value plus that query's slack.
+    """
+    n, n_queries = points.shape[0], queries.shape[0]
+    points_sq = np.einsum("nd,nd->n", points, points)
+    query_sq = np.einsum("qd,qd->q", queries, queries)
+    tiles = _point_tiles(n, n_queries, chunk_rows)
+    widest = max(stop - start for start, stop in tiles)
+    block_size = min(n_queries, _QUERY_TILE) * widest
+    best = np.full((n_queries, k), np.inf)
+    kth = np.full(n_queries, np.inf)
+    slack = np.zeros(n_queries) if slack_sq is None else slack_sq
+    found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    # one block of distances and one of cross products, reused
+    sums = np.empty(block_size)
+    products = np.empty(block_size)
+    for p0, p1 in tiles:
+        block = points[p0:p1]
+        block_sq = points_sq[p0:p1]
+        for q0 in range(0, n_queries, _QUERY_TILE):
+            q1 = min(q0 + _QUERY_TILE, n_queries)
+            shape = (q1 - q0, block.shape[0])
+            dist_sq = np.add(query_sq[q0:q1, None], block_sq[None, :],
+                             out=sums[: shape[0] * shape[1]].reshape(shape))
+            cross = np.matmul(queries[q0:q1], block.T,
+                              out=products[: shape[0] * shape[1]].reshape(shape))
+            cross *= 2.0
+            dist_sq -= cross
+            if p0 == 0:
+                # the first block seeds the k-best densely; a NaN
+                # distance (a NaN coordinate) never counts as a neighbor
+                np.maximum(dist_sq, 0.0, out=dist_sq)
+                dist_sq[np.isnan(dist_sq)] = np.inf
+                seeded = np.partition(
+                    np.concatenate([best[q0:q1], dist_sq], axis=1), k - 1, axis=1
+                )
+                best[q0:q1] = seeded[:, :k]
+                kth[q0:q1] = seeded[:, k - 1]
+            # clamping only the hits is the same as clamping first:
+            # the bound is positive wherever a negative entry matters
+            hits = np.flatnonzero(dist_sq < (kth[q0:q1] + slack[q0:q1])[:, None])
+            if not hits.size:
+                continue
+            values = np.maximum(dist_sq.ravel()[hits], 0.0)
+            rows, cols = np.divmod(hits, dist_sq.shape[1])
+            rows += q0
+            if p0:
+                _merge_best(best, kth, rows, values)
+            if slack_sq is not None:
+                found.append((rows, cols + p0, values))
+        if found:
+            rows, cols, values = (np.concatenate(c) for c in zip(*found))
+            keep = values < kth[rows] + slack[rows]
+            found = [(rows[keep], cols[keep], values[keep])]
+    kth[~np.isfinite(kth)] = np.nan  # fewer than k finite distances
+    if slack_sq is None:
+        return kth, None
+    if not found:  # no queries
+        return kth, (np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))
+    return kth, found[0]
+
+
+def _merge_best(
+    best: np.ndarray, kth: np.ndarray, rows: np.ndarray, values: np.ndarray
+) -> None:
+    """Fold ``values`` (grouped by ascending row) into the k-best rows."""
+    better = values < kth[rows]
+    rows, values = rows[better], values[better]
+    if not rows.size:
+        return
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    touched = rows[starts]
+    counts = np.diff(starts, append=rows.size)
+    pad = np.full((touched.size, int(counts.max())), np.inf)
+    slot = np.repeat(np.arange(touched.size), counts)
+    pad[slot, np.arange(rows.size) - starts[slot]] = values
+    k = best.shape[1]
+    merged = np.partition(np.concatenate([best[touched], pad], axis=1), k - 1, axis=1)
+    best[touched] = merged[:, :k]
+    kth[touched] = merged[:, k - 1]
+
+
+def _as_knn_inputs(points, queries, k: int) -> tuple[np.ndarray, np.ndarray]:
+    points = np.asarray(points, dtype=np.float64)
+    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    n = points.shape[0]
+    if k < 1 or k > n:
+        raise ValueError(f"k={k} outside [1, {n}]")
+    return points, queries
+
 
 def exact_knn_radii(
     points: np.ndarray,
@@ -97,26 +240,57 @@ def exact_knn_radii(
 ) -> np.ndarray:
     """Exact k-th-NN distance of each query against ``points``.
 
-    A chunked brute-force scan -- the same full pass the paper's
-    predictors perform to obtain the query spheres.  Memory use is
-    bounded by ``chunk_rows * n_queries`` floats.
+    A blocked brute-force scan -- the same full pass the paper's
+    predictors perform to obtain the query spheres.  Each block holds
+    up to 3,072 queries against a power of two of point rows: as many
+    as ``chunk_rows`` or about 1 MiB of distances allow, whichever is
+    fewer, but never under 256 (the last block also takes the rows
+    left over).  Peak memory is a few blocks plus the k-best
+    table, whatever the workload: 500 queries against 20,000 32-d
+    points stay under 32 MB (a single unblocked pass would take 80 MB
+    per copy of the distance matrix).  Every distance is
+    ``(q.q + p.p) - 2 (q.p)``, clamped at zero, computed by the same
+    BLAS kernel as in one whole-matrix product, so the radii do not
+    depend on ``chunk_rows``.
     """
-    points = np.asarray(points, dtype=np.float64)
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    n, q = points.shape[0], queries.shape[0]
-    if k < 1 or k > n:
-        raise ValueError(f"k={k} outside [1, {n}]")
-    query_sq = np.einsum("qd,qd->q", queries, queries)
-    # Running k smallest squared distances per query.
-    best = np.full((q, k), np.inf)
-    for start in range(0, n, chunk_rows):
-        block = points[start : start + chunk_rows]
-        block_sq = np.einsum("nd,nd->n", block, block)
-        dists_sq = query_sq[:, None] + block_sq[None, :] - 2.0 * (queries @ block.T)
-        np.maximum(dists_sq, 0.0, out=dists_sq)
-        merged = np.concatenate([best, dists_sq], axis=1)
-        best = np.partition(merged, k - 1, axis=1)[:, :k]
-    return np.sqrt(best.max(axis=1))
+    points, queries = _as_knn_inputs(points, queries, k)
+    kth, _ = _knn_scan(points, queries, k, None, chunk_rows)
+    return np.sqrt(kth)
+
+
+def search_kth_sq(points: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
+    """Each query's k-th smallest squared distance, in the arithmetic of
+    the best-first search (:func:`~repro.rtree.search.best_first_knn`):
+    ``p - q`` squared and summed in dimension order
+    (:func:`~repro.kernels.geometry.ordered_sum_sq`).
+
+    The blocked scan finds the candidates.  Its distances differ from
+    the search's by at most a few rounding errors of ``q.q + p.p``, so
+    every point whose search distance is within the k-th one lies within
+    a slack of twice that bound above the scan's k-th distance.  The
+    candidates, ties included, are measured again in the search's
+    arithmetic, and the k-th smallest of those is the answer.
+    """
+    points, queries = _as_knn_inputs(points, queries, k)
+    dim = points.shape[1]
+    # |scan - search| <= (4d + 8) u (q.q + p.p) with u = eps / 2, so the
+    # window must reach twice that above the scan's k-th distance; the
+    # slack is twice the window, plus ``tiny`` so that exact ties at
+    # zero pass the strict test
+    slack = (
+        8 * (dim + 2) * np.finfo(np.float64).eps
+        * (np.einsum("qd,qd->q", queries, queries)
+           + np.einsum("nd,nd->n", points, points).max())
+        + np.finfo(np.float64).tiny
+    )
+    _, (rows, cols, _) = _knn_scan(points, queries, k, slack, 65536)
+    exact = np.empty(rows.size)
+    for start in range(0, rows.size, 65536):
+        part = slice(start, start + 65536)
+        exact[part] = ordered_sum_sq(points[cols[part]] - queries[rows[part]])
+    order = np.lexsort((exact, rows))
+    starts = np.searchsorted(rows[order], np.arange(queries.shape[0]))
+    return exact[order][starts + k - 1]
 
 
 def sampled_knn_radii(

@@ -33,6 +33,7 @@ from repro.errors import (
     TransientReadError,
 )
 from repro.ondisk.builder import OnDiskBuilder
+from repro.ondisk.measure import measure_knn
 from repro.rtree.rstar import RStarTree
 from repro.rtree.tree import RTree
 from repro.workload.queries import KNNWorkload, density_biased_knn_workload
@@ -167,6 +168,69 @@ class TestHostileInputs:
         with pytest.raises((ValueError, IndexError)):
             predictor.predict(clustered_points, workload, method="mini",
                               sampling_fraction=0.5)
+
+
+class TestDimensionAgreement:
+    """The points, the predictor's ``dim`` and the workload must agree:
+    a kernel fed 8-d queries against 6-d pages ignores two dimensions
+    and answers wrongly without a word."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        gen = np.random.default_rng(5)
+        points = gen.random((600, 6))
+        predictor = IndexCostPredictor(dim=8, memory=200, c_data=16, c_dir=8)
+        wide = gen.random((600, 8))
+        workload = density_biased_knn_workload(wide, 10, 5, gen)
+        return points, predictor, workload
+
+    def test_predict(self, setup):
+        points, predictor, workload = setup
+        for method in ("resampled", "cutoff", "mini"):
+            with pytest.raises(InputValidationError, match="dimensionality"):
+                predictor.predict(points, workload, method=method,
+                                  degrade=False)
+
+    def test_predict_radius_grid(self, setup):
+        points, predictor, workload = setup
+        with pytest.raises(InputValidationError, match="dimensionality"):
+            predictor.predict_radius_grid(
+                points, workload, np.array([0.1, 0.2])
+            )
+
+    def test_make_workload(self, setup):
+        points, predictor, _ = setup
+        with pytest.raises(InputValidationError, match="dimensionality"):
+            predictor.make_workload(points, 10, 5)
+
+    def test_measure(self, setup):
+        points, predictor, workload = setup
+        with pytest.raises(InputValidationError, match="dimensionality"):
+            predictor.measure(points, workload)
+        # agreeing predictor and points, disagreeing workload
+        matched = IndexCostPredictor(dim=6, memory=200, c_data=16, c_dir=8)
+        with pytest.raises(InputValidationError, match="dimensionality"):
+            matched.measure(points, workload)
+
+    def test_measure_knn(self, setup):
+        points, _, workload = setup
+        index = IndexCostPredictor(dim=6, memory=200, c_data=16,
+                                   c_dir=8).build_ondisk(points)
+        with pytest.raises(InputValidationError, match="8-d"):
+            measure_knn(index, workload)
+
+    def test_measure_knn_rejects_k_above_n(self, rng):
+        points = rng.random((30, 3))
+        index = IndexCostPredictor(dim=3, memory=100, c_data=8,
+                                   c_dir=4).build_ondisk(points)
+        workload = KNNWorkload(
+            k=31,
+            query_ids=np.zeros(2, np.int64),
+            queries=points[:2],
+            radii=np.ones(2),
+        )
+        with pytest.raises(InputValidationError, match="k=31"):
+            measure_knn(index, workload)
 
 
 class TestEdgeBudgets:

@@ -4,13 +4,20 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.data import datasets
 from repro.disk.device import SimulatedDisk
+from repro.disk.faults import FaultInjector
 from repro.disk.pagefile import PointFile
+from repro.errors import TransientReadError
 from repro.ondisk.builder import OnDiskBuilder
 from repro.ondisk.measure import measure_knn, sphere_accesses
 from repro.rtree.tree import RTree
 from repro.workload.queries import density_biased_knn_workload
+
+from .knn_oracle import measure_by_search
 
 C_DATA, C_DIR = 32, 16
 
@@ -135,3 +142,164 @@ class TestMeasurement:
         assert measured.mean_accesses == pytest.approx(
             measured.per_query.mean()
         )
+
+
+def _build(points, c_data=C_DATA, c_dir=C_DIR, memory=500, device=None):
+    file = PointFile.from_points(device or SimulatedDisk(), points)
+    return OnDiskBuilder(c_data, c_dir, memory=memory).build(file)
+
+
+def _assert_replay_matches_search(points, workload, **build):
+    """Replay and search on two identical fresh indexes agree bit for bit."""
+    replayed = measure_knn(_build(points, **build), workload)
+    searched = measure_by_search(_build(points, **build), workload)
+    assert np.array_equal(replayed.per_query, searched.per_query)
+    assert replayed.per_query.dtype == searched.per_query.dtype
+    assert replayed.io_cost == searched.io_cost
+
+
+class TestReplayMatchesSearch:
+    """``measure_knn`` replays the best-first search's leaf reads; the
+    per-query search loop is the oracle."""
+
+    @pytest.mark.parametrize(
+        "name, scale, data_seed, query_seed",
+        [
+            ("TEXTURE60", 0.04, 1, 2),
+            ("TEXTURE48", 0.02, 9, 1),
+            ("COLOR64", 0.02, 0, 1),
+            ("STOCK360", 0.1, 0, 1),
+        ],
+    )
+    def test_dataset_analogues(self, name, scale, data_seed, query_seed):
+        points = datasets.load(name, scale=scale, seed=data_seed)
+        workload = density_biased_knn_workload(
+            points, 60, 21, np.random.default_rng(query_seed)
+        )
+        _assert_replay_matches_search(points, workload, memory=800)
+
+    @pytest.mark.parametrize("seed", [1, 2, 4])
+    def test_clustered_and_uniform_seeds(self, clustered_points,
+                                         uniform_points, seed):
+        for points in (clustered_points, uniform_points):
+            workload = density_biased_knn_workload(
+                points, 40, 21, np.random.default_rng(seed)
+            )
+            _assert_replay_matches_search(points, workload)
+
+    def test_altered_radii_change_nothing(self, clustered_points):
+        """The replay takes the k-th distance from the index's points,
+        never from the workload's radii."""
+        workload = density_biased_knn_workload(
+            clustered_points, 30, 21, np.random.default_rng(3)
+        )
+        halved = workload.with_radii(workload.radii / 2)
+        plain = measure_knn(_build(clustered_points), workload)
+        altered = measure_knn(_build(clustered_points), halved)
+        assert np.array_equal(plain.per_query, altered.per_query)
+        assert plain.io_cost == altered.io_cost
+        _assert_replay_matches_search(clustered_points, halved)
+
+    @given(
+        st.integers(2, 16),
+        st.integers(1, 4),
+        st.integers(60, 400),
+        st.integers(1, 25),
+        st.sampled_from([(4, 3), (8, 4), (16, 8)]),
+        st.integers(0, 10_000),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_integer_grids_with_heavy_ties(self, dim, levels, n, k,
+                                           capacities, seed):
+        """Few distinct coordinates: duplicate points, equal distances and
+        equal MINDISTs everywhere, so every tie-break of the heap shows."""
+        gen = np.random.default_rng(seed)
+        points = gen.integers(0, levels + 1, size=(n, dim)).astype(np.float64)
+        workload = density_biased_knn_workload(
+            points, 12, min(k, n), gen
+        )
+        c_data, c_dir = capacities
+        _assert_replay_matches_search(points, workload, c_data=c_data,
+                                      c_dir=c_dir, memory=64)
+
+    @given(
+        st.integers(1, 11),
+        st.integers(3, 40),
+        st.integers(60, 400),
+        st.integers(1, 25),
+        st.integers(0, 10_000),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_duplicated_continuous_points(self, dim, distinct, n, k, seed):
+        """Copies of a few random points: many leaves are a single
+        point's box, so a point's distance and its box's MINDIST must
+        come from the same arithmetic."""
+        gen = np.random.default_rng(seed)
+        base = gen.random((distinct, dim))
+        points = base[gen.integers(0, distinct, size=n)]
+        workload = density_biased_knn_workload(points, 12, min(k, n), gen)
+        _assert_replay_matches_search(points, workload, c_data=5, c_dir=3,
+                                      memory=64)
+
+    def test_all_points_identical(self):
+        points = np.ones((300, 5))
+        workload = density_biased_knn_workload(
+            points, 7, 9, np.random.default_rng(0)
+        )
+        _assert_replay_matches_search(points, workload, c_data=8, c_dir=4,
+                                      memory=64)
+
+    def test_single_leaf_index(self, rng):
+        points = rng.random((20, 3))
+        workload = density_biased_knn_workload(points, 5, 20, rng)
+        _assert_replay_matches_search(points, workload)
+
+
+class TestReplayUnderFaults:
+    """Behind a fault injector the replay must issue the search's exact
+    read sequence, so every injected fault lands on the same read."""
+
+    @staticmethod
+    def _recorded(points, seed, **rates):
+        injector = FaultInjector(SimulatedDisk(), seed=seed)
+        index = _build(points, device=injector)
+        for name, rate in rates.items():
+            setattr(injector, name, rate)
+        reads = []
+        inner = injector.read
+
+        def read(first, count):
+            reads.append((first, count))
+            return inner(first, count)
+
+        injector.read = read
+        return index, reads
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_spikes_and_silent_corruption(self, clustered_points, seed):
+        workload = density_biased_knn_workload(
+            clustered_points, 25, 21, np.random.default_rng(seed)
+        )
+        rates = {"latency_spike_rate": 0.2, "silent_corruption_rate": 0.1}
+        index, replay_reads = self._recorded(clustered_points, seed, **rates)
+        replayed = measure_knn(index, workload)
+        index, search_reads = self._recorded(clustered_points, seed, **rates)
+        searched = measure_by_search(index, workload)
+        assert replay_reads == search_reads
+        assert np.array_equal(replayed.per_query, searched.per_query)
+        assert replayed.io_cost == searched.io_cost
+        assert replayed.io_cost.faults_seen > 0
+
+    def test_read_fault_raises_at_the_same_read(self, clustered_points):
+        workload = density_biased_knn_workload(
+            clustered_points, 25, 21, np.random.default_rng(1)
+        )
+        index, replay_reads = self._recorded(clustered_points, 3,
+                                             read_fault_rate=0.01)
+        with pytest.raises(TransientReadError):
+            measure_knn(index, workload)
+        index, search_reads = self._recorded(clustered_points, 3,
+                                             read_fault_rate=0.01)
+        with pytest.raises(TransientReadError):
+            measure_by_search(index, workload)
+        assert replay_reads == search_reads

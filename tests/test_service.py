@@ -454,14 +454,23 @@ class TestPredictionService:
 
     def test_stop_resolves_queued_requests(self, points, workload):
         gate = threading.Event()
+        picked = threading.Event()
+
+        def hook(item) -> None:
+            picked.set()
+            gate.wait(10.0)
+
         service = PredictionService(
             workers=1, max_queue=8,
             default_quota=TenantQuota(max_inflight=8),
-            pre_request_hook=lambda item: gate.wait(10.0),
+            pre_request_hook=hook,
         )
         service.register_tenant("t", points)
         service.start()
         pending = [service.submit("t", workload) for _ in range(4)]
+        # stop() must find the worker holding one request, or it sheds
+        # all four and nothing is served
+        assert picked.wait(10.0)
         releaser = threading.Timer(0.2, gate.set)
         releaser.start()
         service.stop()  # drains the queue, then joins the worker

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,11 +26,42 @@ class TestExactRadii:
             assert radii[i] == pytest.approx(dists[3])
 
     def test_chunked_matches_unchunked(self, rng):
+        """Bit for bit, with query counts and a point count that no
+        tile size divides."""
         points = rng.random((1000, 3))
-        queries = rng.random((5, 3))
-        a = exact_knn_radii(points, queries, 10, chunk_rows=64)
-        b = exact_knn_radii(points, queries, 10, chunk_rows=10**6)
-        assert np.allclose(a, b)
+        for n_queries in (1, 37, 87):
+            queries = rng.random((n_queries, 3))
+            radii = [
+                exact_knn_radii(points, queries, 10, chunk_rows=chunk)
+                for chunk in (1, 7, 64, 65536, 10**6)
+            ]
+            for other in radii[1:]:
+                assert np.array_equal(radii[0], other)
+
+    def test_equals_one_whole_matrix_scan(self, rng):
+        """The blocked scan keeps the per-element arithmetic of one
+        unblocked ``(q.q + p.p) - 2 (q.p)`` pass, bit for bit."""
+        points = rng.random((1000, 3))
+        queries = rng.random((87, 3))
+        dists_sq = (
+            np.einsum("qd,qd->q", queries, queries)[:, None]
+            + np.einsum("nd,nd->n", points, points)[None, :]
+            - 2.0 * (queries @ points.T)
+        )
+        np.maximum(dists_sq, 0.0, out=dists_sq)
+        expected = np.sqrt(np.partition(dists_sq, 9, axis=1)[:, 9])
+        assert np.array_equal(exact_knn_radii(points, queries, 10), expected)
+
+    def test_peak_memory_is_a_few_blocks(self):
+        points = np.random.default_rng(0).random((20_000, 32))
+        queries = points[:500].copy()
+        tracemalloc.start()
+        try:
+            exact_knn_radii(points, queries, 21)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_query_in_dataset_includes_self(self, rng):
         points = rng.random((50, 3))
@@ -66,7 +99,7 @@ class TestKNNWorkload:
     def test_radii_are_exact(self, clustered_points, rng):
         workload = density_biased_knn_workload(clustered_points, 5, 21, rng)
         check = exact_knn_radii(clustered_points, workload.queries, 21)
-        assert np.allclose(workload.radii, check)
+        assert np.array_equal(workload.radii, check)
 
     def test_more_queries_than_points(self, rng):
         points = rng.random((10, 2))
