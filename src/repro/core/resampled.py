@@ -57,8 +57,6 @@ from .topology import Topology
 
 __all__ = ["ResampledModel"]
 
-_ASSIGN_BLOCK = 4096  # points assigned to boxes per vectorized block
-
 
 @dataclass(frozen=True)
 class ResampledModel:
@@ -524,7 +522,6 @@ class ResampledModel:
                 state["consumed"] = total
                 return
             kept_slots = slots[accept]
-            kept_points = rest[accept]
             # Replacements are in-place page writes within the area: one
             # seek to the area plus the touched pages, batched per group.
             # Charge first (under the retry policy); only then mutate the
@@ -533,28 +530,55 @@ class ResampledModel:
             area.disk.drop_head()
             n_pages = min(pages, area.n_pages)
             area.charged(lambda: area.disk.write(area.start_page, n_pages))
-            for slot, point in zip(kept_slots.tolist(), kept_points):
-                area.place(int(slot), point[np.newaxis, :])
+            area.place_rows(kept_slots, rest[accept])
             state["consumed"] = total
 
 
 def _assign_to_boxes(
     points: np.ndarray, box_lower: np.ndarray, box_upper: np.ndarray
 ) -> np.ndarray:
-    """Index of the containing box, else the nearest box, per point."""
-    n = points.shape[0]
-    assignment = np.empty(n, dtype=np.int64)
-    for start in range(0, n, _ASSIGN_BLOCK):
-        block = points[start : start + _ASSIGN_BLOCK]
-        best_dist = np.full(block.shape[0], np.inf)
-        best_idx = np.zeros(block.shape[0], dtype=np.int64)
-        for j in range(box_lower.shape[0]):
-            below = np.maximum(box_lower[j] - block, 0.0)
-            above = np.maximum(block - box_upper[j], 0.0)
-            gap = below + above
-            dist = np.einsum("nd,nd->n", gap, gap)
-            better = dist < best_dist
-            best_dist[better] = dist[better]
-            best_idx[better] = j
-        assignment[start : start + block.shape[0]] = best_idx
+    """Index of the containing box, else the nearest box, per point.
+
+    Containment first: the boxes are walked in index order, each point
+    takes the first box that contains it (closed bounds) and leaves the
+    walk.  Only the points no box contains are measured against every
+    box by squared Euclidean box distance; ties go to the lowest index.
+
+    This equals taking the lowest-index box at minimum distance for
+    every point -- a contained point is at distance exactly 0 -- with
+    one exception: a squared gap so small that it underflows to 0.0
+    makes a box that does *not* contain the point look like distance 0.
+    A pure distance rule would pick that box when its index is lower
+    than the containing box's; this rule picks the box that contains
+    the point.
+    """
+    assignment = np.empty(points.shape[0], dtype=np.int64)
+    pending = np.arange(points.shape[0])
+    rest = points
+    for j in range(box_lower.shape[0]):
+        if pending.shape[0] == 0:
+            break
+        inside = np.all((box_lower[j] <= rest) & (rest <= box_upper[j]), axis=1)
+        assignment[pending[inside]] = j
+        outside = ~inside
+        pending = pending[outside]
+        rest = rest[outside]
+    if pending.shape[0] > 0:
+        assignment[pending] = _nearest_box(rest, box_lower, box_upper)
     return assignment
+
+
+def _nearest_box(
+    points: np.ndarray, box_lower: np.ndarray, box_upper: np.ndarray
+) -> np.ndarray:
+    """Index of the box at least squared distance, per point."""
+    best_dist = np.full(points.shape[0], np.inf)
+    best_idx = np.zeros(points.shape[0], dtype=np.int64)
+    for j in range(box_lower.shape[0]):
+        gap = np.maximum(box_lower[j] - points, 0.0)
+        gap += np.maximum(points - box_upper[j], 0.0)
+        dist = np.einsum("nd,nd->n", gap, gap)
+        better = dist < best_dist
+        best_dist[better] = dist[better]
+        best_idx[better] = j
+    return best_idx

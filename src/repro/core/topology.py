@@ -135,18 +135,22 @@ class Topology:
 
         Computed by running the bulk loader's integer recursion (fanout
         and binary point division) without touching any data, so it is
-        exact for the partitioner in :mod:`repro.rtree.bulkload`.
+        exact for the partitioner in :mod:`repro.rtree.bulkload`.  A
+        node's children depend only on its level and point count, so
+        the nodes of one level are expanded once per distinct count.
         """
         counts = [0] * self.height
-        # Iterative DFS over (level, n_points_in_subtree).
-        stack = [(self.height, self.n_points)]
-        while stack:
-            level, n = stack.pop()
-            counts[level - 1] += 1
+        # subtree point count -> number of nodes holding it, per level
+        sizes = {self.n_points: 1}
+        for level in range(self.height, 0, -1):
+            counts[level - 1] = sum(sizes.values())
             if level == 1:
-                continue
-            for part in self.partition_sizes(level, n):
-                stack.append((level - 1, part))
+                break
+            below: dict[int, int] = {}
+            for n, nodes in sizes.items():
+                for part in self.partition_sizes(level, n):
+                    below[part] = below.get(part, 0) + nodes
+            sizes = below
         return tuple(counts)
 
     def partition_sizes(self, level: int, n: int) -> list[int]:

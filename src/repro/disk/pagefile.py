@@ -611,3 +611,24 @@ class PointFile:
         self._buffer[start:stop] = points
         self.n_points = max(self.n_points, stop)
         self._refresh_crc(start, stop)
+
+    def place_rows(self, rows: np.ndarray, points: np.ndarray) -> None:
+        """Overwrite scattered existing rows without charging.
+
+        ``points[i]`` goes to row ``rows[i]``.  A row named more than
+        once keeps the *later* point, as a sequence of single-row
+        :meth:`place` calls would leave it.  Each touched page's CRC is
+        refreshed once.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.shape[0] == 0:
+            return
+        if rows.min() < 0 or rows.max() >= self.n_points:
+            raise IndexError(f"rows outside [0, {self.n_points})")
+        # np.unique on the reversed rows finds each row's last occurrence
+        _, from_end = np.unique(rows[::-1], return_index=True)
+        last = rows.shape[0] - 1 - from_end
+        self._buffer[rows[last]] = np.asarray(points, dtype=np.float64)[last]
+        if self._crc is not None:
+            for rel in np.unique(rows // self.points_per_page).tolist():
+                self._crc[rel] = zlib.crc32(self._page_payload(rel).tobytes())

@@ -107,29 +107,88 @@ def build_subtree(
     The bulk-loading recursion is self-contained per node, so a lower
     tree (Section 4.4) over a resampled point set is built by calling
     this directly with the upper-tree leaf's level and virtual count.
+
+    The partition walk builds the nodes without boxes; the boxes come
+    afterwards from one pass per level (:func:`_bound_levels`), not
+    from per-node point scans and unions.
     """
     config = config or BulkLoadConfig()
+    levels: list[list[Node]] = [[] for _ in range(level - stop_level + 1)]
+    root = _grow(points, ids, level, n_virtual, topology, config, stop_level,
+                 levels)
+    _bound_levels(points, levels)
+    return root
+
+
+def _grow(
+    points: np.ndarray,
+    ids: np.ndarray,
+    level: int,
+    n_virtual: int,
+    topology: Topology,
+    config: BulkLoadConfig,
+    stop_level: int,
+    levels: list[list[Node]],
+) -> Node:
+    """The partition walk: nodes without boxes, listed per level.
+
+    ``levels[i]`` receives the nodes at level ``stop_level + i`` in
+    depth-first order, so the children of one node are consecutive in
+    the list one level down.
+    """
+    node: Node
     if level == stop_level:
-        mbr = MBR.of_points(points[ids]) if ids.shape[0] > 0 else None
-        return LeafNode(point_ids=ids, mbr=mbr, level=level, virtual_n=n_virtual)
-
-    children: list[Node] = []
-    for part_ids, part_virtual in _divide(
-        points, ids, level, n_virtual, topology, config
-    ):
-        children.append(
-            build_subtree(
-                points, part_ids, level - 1, part_virtual, topology, config,
-                stop_level=stop_level,
+        node = LeafNode(point_ids=ids, mbr=None, level=level, virtual_n=n_virtual)
+    else:
+        children = [
+            _grow(points, part_ids, level - 1, part_virtual, topology, config,
+                  stop_level, levels)
+            for part_ids, part_virtual in _divide(
+                points, ids, level, n_virtual, topology, config
             )
+        ]
+        node = InternalNode(
+            children=children, mbr=None, level=level,
+            n_points=sum(child.n_points for child in children),
         )
+    levels[level - stop_level].append(node)
+    return node
 
-    mbr: MBR | None = None
-    for child in children:
-        if child.mbr is not None:
-            mbr = child.mbr if mbr is None else mbr.union(child.mbr)
-    n_points = sum(child.n_points for child in children)
-    return InternalNode(children=children, mbr=mbr, level=level, n_points=n_points)
+
+def _bound_levels(points: np.ndarray, levels: list[list[Node]]) -> None:
+    """Set every node's box: leaves from their points, parents from
+    their children's corners, one min and one max ``reduceat`` per level.
+
+    An empty node's corners are ``+inf`` / ``-inf``, which no minimum or
+    maximum keeps, so a parent's box is the union of its non-empty
+    children's boxes; a node with no points keeps ``mbr=None``.
+    """
+    leaves = levels[0]
+    dim = points.shape[1]
+    sizes = np.array([leaf.n_points for leaf in leaves], dtype=np.int64)
+    lower = np.full((len(leaves), dim), np.inf)
+    upper = np.full((len(leaves), dim), -np.inf)
+    full = sizes > 0
+    if np.any(full):
+        rows = points[np.concatenate([leaf.point_ids for leaf in leaves])]
+        starts = (np.cumsum(sizes) - sizes)[full]
+        lower[full] = np.minimum.reduceat(rows, starts, axis=0)
+        upper[full] = np.maximum.reduceat(rows, starts, axis=0)
+    _set_boxes(leaves, full, lower, upper)
+    for nodes in levels[1:]:
+        fanouts = np.array([node.fanout for node in nodes], dtype=np.int64)
+        starts = np.cumsum(fanouts) - fanouts
+        lower = np.minimum.reduceat(lower, starts, axis=0)
+        upper = np.maximum.reduceat(upper, starts, axis=0)
+        full = np.array([node.n_points > 0 for node in nodes], dtype=bool)
+        _set_boxes(nodes, full, lower, upper)
+
+
+def _set_boxes(
+    nodes: list[Node], full: np.ndarray, lower: np.ndarray, upper: np.ndarray
+) -> None:
+    for i in np.flatnonzero(full).tolist():
+        nodes[i].mbr = MBR._unchecked(lower[i], upper[i])
 
 
 def _divide(

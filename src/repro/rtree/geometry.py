@@ -63,6 +63,18 @@ class MBR:
         object.__setattr__(self, "upper", upper)
 
     @classmethod
+    def _unchecked(cls, lower: np.ndarray, upper: np.ndarray) -> "MBR":
+        """Wrap float64 corners that are valid by construction.
+
+        For builders that derive corners as mins and maxes of points:
+        skips the conversion and the ``lower <= upper`` check.
+        """
+        box = object.__new__(cls)
+        object.__setattr__(box, "lower", lower)
+        object.__setattr__(box, "upper", upper)
+        return box
+
+    @classmethod
     def of_points(cls, points: np.ndarray) -> "MBR":
         """The minimal bounding box of a non-empty ``(n, d)`` point set."""
         lower, upper = mbr_of_points(points)

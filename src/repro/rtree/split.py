@@ -30,10 +30,18 @@ DimensionRule = Callable[[np.ndarray], int]
 
 
 def max_variance_dimension(points: np.ndarray) -> int:
-    """The dimension with the largest variance (the VAMSplit choice)."""
-    if points.shape[0] == 0:
+    """The dimension with the largest variance (the VAMSplit choice).
+
+    ``np.var(points, axis=0)`` spelled out -- the same ufuncs in the
+    same order, so the same bits -- without its per-call overhead,
+    which dominates on the small partitions deep in a bulk load.
+    """
+    n = points.shape[0]
+    if n == 0:
         return 0
-    return int(np.argmax(np.var(points, axis=0)))
+    deviation = points - np.add.reduce(points, axis=0, keepdims=True) / n
+    np.square(deviation, out=deviation)
+    return int(np.argmax(np.add.reduce(deviation, axis=0) / n))
 
 
 def max_extent_dimension(points: np.ndarray) -> int:

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from repro.core.topology import Topology
 from repro.rtree.bulkload import BulkLoadConfig, build_subtree, build_tree
-from repro.rtree.split import max_extent_dimension
+from repro.rtree.split import max_extent_dimension, max_variance_dimension
 from repro.rtree.tree import RTree
+from .bulkload_oracle import assert_same_graph, build_subtree_recursive
 
 
 class TestFullBuild:
@@ -168,3 +169,91 @@ class TestBuildProperties:
         sample = points[gen.choice(n, m, replace=False)]
         mini = RTree.bulk_load(sample, c_data=8, c_dir=4, virtual_n=n)
         mini.validate()
+
+
+def _grid_points(draw, n, d):
+    """Points on a coarse grid (ties, repeated points, zero extents) or
+    spread over a continuous range, with signed zeros mixed in."""
+    if draw(st.booleans()):
+        values = st.integers(-6, 6).map(lambda v: v / 4)
+    else:
+        values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    values = st.one_of(values, st.just(-0.0))
+    flat = draw(st.lists(values, min_size=n * d, max_size=n * d))
+    return np.array(flat, dtype=np.float64).reshape(n, d)
+
+
+@st.composite
+def _subtree_case(draw):
+    c_data = draw(st.integers(2, 6))
+    c_dir = draw(st.integers(2, 4))
+    n = draw(st.integers(0, 120))
+    d = draw(st.integers(1, 4))
+    points = _grid_points(draw, n, d)
+    # a sampled build imposes a larger virtual count on the same points
+    n_virtual = max(1, n) * draw(st.sampled_from([1, 1, 3, 20]))
+    topology = Topology(n_virtual, c_data, c_dir)
+    level = draw(st.integers(1, topology.height))
+    stop_level = draw(st.integers(1, level))
+    ids = np.arange(n, dtype=np.int64)
+    if draw(st.booleans()):
+        ids = ids[np.random.default_rng(draw(st.integers(0, 99))).permutation(n)]
+    config = BulkLoadConfig(
+        dimension_rule=draw(st.sampled_from([max_variance_dimension,
+                                             max_extent_dimension])),
+        rank_mode=draw(st.sampled_from(["balanced", "midpoint"])),
+    )
+    return points, ids, level, n_virtual, topology, config, stop_level
+
+
+class TestMatchesRecursiveOracle:
+    """``build_subtree`` sets boxes per level after the partition walk;
+    the node graph must equal the per-node recursive loader's."""
+
+    @given(_subtree_case())
+    @settings(max_examples=150, deadline=None)
+    def test_same_graph_as_recursive_build(self, case):
+        points, ids, level, n_virtual, topology, config, stop_level = case
+        got = build_subtree(points, ids, level, n_virtual, topology, config,
+                            stop_level=stop_level)
+        want = build_subtree_recursive(points, ids, level, n_virtual,
+                                       topology, config,
+                                       stop_level=stop_level)
+        assert_same_graph(got, want)
+
+    @pytest.mark.parametrize("rank_mode", ["balanced", "midpoint"])
+    @pytest.mark.parametrize("rule", [max_variance_dimension,
+                                      max_extent_dimension])
+    @pytest.mark.parametrize("stop_level", [1, 2])
+    def test_unsampled_clustered_build(self, clustered_points, rank_mode,
+                                       rule, stop_level):
+        config = BulkLoadConfig(dimension_rule=rule, rank_mode=rank_mode)
+        topo = Topology(clustered_points.shape[0], 32, 16)
+        ids = np.arange(clustered_points.shape[0], dtype=np.int64)
+        args = (clustered_points, ids, topo.height, topo.n_points, topo, config)
+        assert_same_graph(build_subtree(*args, stop_level=stop_level),
+                          build_subtree_recursive(*args, stop_level=stop_level))
+
+    @pytest.mark.parametrize("rank_mode", ["balanced", "midpoint"])
+    def test_sparse_sample_with_empty_leaves(self, clustered_points, rank_mode):
+        n = clustered_points.shape[0]
+        sample = clustered_points[np.random.default_rng(4).choice(n, 3,
+                                                                  replace=False)]
+        topo = Topology(n, 32, 16)
+        config = BulkLoadConfig(rank_mode=rank_mode)
+        ids = np.arange(3, dtype=np.int64)
+        got = build_subtree(sample, ids, topo.height, n, topo, config)
+        assert any(leaf.mbr is None for leaf in got.iter_leaves())
+        assert any(node.mbr is None for node in got.children
+                   if not node.is_leaf)
+        assert_same_graph(got, build_subtree_recursive(
+            sample, ids, topo.height, n, topo, config))
+
+    def test_all_empty_subtree(self):
+        topo = Topology(500, 4, 4)
+        points = np.empty((0, 3))
+        ids = np.empty(0, dtype=np.int64)
+        got = build_subtree(points, ids, 3, 60, topo)
+        assert got.mbr is None and got.n_points == 0
+        assert_same_graph(got, build_subtree_recursive(points, ids, 3, 60,
+                                                       topo))

@@ -335,3 +335,52 @@ class TestResampledConservation:
         assert np.all(result.per_query >= 0)
         assert np.all(result.per_query <= topology.n_leaves)
         assert result.detail["n_predicted_leaves"] <= topology.n_leaves
+
+
+class TestMonotoneInQuerySize:
+    """For a fixed seed, a larger query never touches fewer leaves: the
+    predicted geometry does not depend on the query sizes, and a box
+    met by a sphere or box is met by any larger one with that center."""
+
+    @given(st.integers(150, 500), st.integers(2, 4), st.integers(0, 1000),
+           st.sampled_from(["resampled", "cutoff", "mini"]),
+           st.floats(0.0, 1.0), st.floats(1.0, 3.0))
+    @settings(max_examples=24, deadline=None)
+    def test_knn_radius_growth(self, n, d, seed, method, small, large):
+        from repro import IndexCostPredictor
+        from repro.workload.queries import density_biased_knn_workload
+
+        points = np.random.default_rng(seed).random((n, d))
+        workload = density_biased_knn_workload(
+            points, 12, 5, np.random.default_rng(seed + 1))
+        predictor = IndexCostPredictor(dim=d, memory=60, c_data=8, c_dir=4)
+        counts = [
+            predictor.predict(points, workload.with_radii(workload.radii * s),
+                              method=method, seed=seed, degrade=False,
+                              sampling_fraction=0.3).per_query
+            for s in (small, 1.0, large)
+        ]
+        assert np.all(counts[0] <= counts[1])
+        assert np.all(counts[1] <= counts[2])
+
+    @given(st.integers(150, 500), st.integers(2, 4), st.integers(0, 1000),
+           st.sampled_from(["resampled", "cutoff", "mini"]),
+           st.lists(st.floats(0.0, 0.6), min_size=3, max_size=3))
+    @settings(max_examples=24, deadline=None)
+    def test_range_side_growth(self, n, d, seed, method, sides):
+        from repro import IndexCostPredictor
+        from repro.workload.queries import RangeWorkload
+
+        points = np.random.default_rng(seed).random((n, d))
+        centers = points[np.random.default_rng(seed + 1).choice(n, 12)]
+        predictor = IndexCostPredictor(dim=d, memory=60, c_data=8, c_dir=4)
+        previous = None
+        for side in sorted(sides):
+            workload = RangeWorkload(lower=centers - side / 2,
+                                     upper=centers + side / 2)
+            counts = predictor.predict(points, workload, method=method,
+                                       seed=seed, degrade=False,
+                                       sampling_fraction=0.3).per_query
+            if previous is not None:
+                assert np.all(previous <= counts)
+            previous = counts

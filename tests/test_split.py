@@ -21,6 +21,16 @@ class TestDimensionRules:
         points[:, 1] *= 10.0
         assert max_variance_dimension(points) == 1
 
+    @given(st.integers(1, 60), st.integers(1, 70), st.integers(0, 10_000),
+           st.integers(-6, 6), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_max_variance_equals_numpy_var(self, n, d, seed, scale, coarse):
+        points = np.random.default_rng(seed).standard_normal((n, d)) * 10.0 ** scale
+        if coarse:  # ties between dimensions
+            points = np.round(points, 1 - scale)
+        assert max_variance_dimension(points) == int(
+            np.argmax(np.var(points, axis=0)))
+
     def test_max_extent_picks_wide_dim(self, rng):
         points = rng.random((200, 3)) * 0.1
         points[0, 2] = 5.0  # one outlier stretches dim 2

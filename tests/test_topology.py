@@ -107,6 +107,20 @@ class TestTopologyStructure:
         assert topo.nodes_at_level(topo.height) == 1
         assert topo.n_leaves == topo.nodes_at_level(1)
 
+    @given(st.integers(1, 60_000), st.integers(1, 60), st.integers(2, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_node_counts_equal_a_per_node_walk(self, n, c_data, c_dir):
+        topo = Topology(n, c_data, c_dir)
+        counts = [0] * topo.height
+        stack = [(topo.height, n)]
+        while stack:
+            level, size = stack.pop()
+            counts[level - 1] += 1
+            if level > 1:
+                stack.extend((level - 1, part)
+                             for part in topo.partition_sizes(level, size))
+        assert topo.nodes_per_level == tuple(counts)
+
     def test_node_counts_monotone(self):
         topo = Topology(100_000, c_data=32, c_dir=16)
         counts = topo.nodes_per_level
