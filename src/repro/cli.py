@@ -186,9 +186,9 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kernel", default=None,
                         help="counting kernel backend "
                              f"({', '.join(available_kernels())}; default "
-                             f"from ${KERNEL_ENV_VAR}, then numba if "
-                             "installed, else numpy_batched); all kernels "
-                             "count identically, this only changes speed")
+                             f"from ${KERNEL_ENV_VAR}, else numpy_batched); "
+                             "all kernels count identically, this only "
+                             "changes speed")
 
 
 def _load_points(args: argparse.Namespace) -> np.ndarray:

@@ -54,6 +54,7 @@ from ..errors import (
     UnrecoverableCorruptionError,
     validate_points,
 )
+from ..kernels.batched import memory_cap_from_env
 from ..kernels.registry import get_kernel
 from ..ondisk.builder import OnDiskBuilder, OnDiskIndex
 from ..ondisk.measure import MeasurementResult, measure_knn
@@ -145,8 +146,11 @@ class IndexCostPredictor:
 
     def __post_init__(self) -> None:
         # Resolve eagerly so a typo fails at construction with the typed
-        # UnknownKernelError, not mid-prediction after a dataset scan.
+        # UnknownKernelError, not mid-prediction after a dataset scan;
+        # likewise a malformed REPRO_KERNEL_CAP_BYTES, which the on-disk
+        # measurement reads whichever kernel counts.
         get_kernel(self.kernel)
+        memory_cap_from_env()
         for name, rate in (
             ("fault_rate", self.fault_rate),
             ("torn_write_rate", self.torn_write_rate),

@@ -262,8 +262,8 @@ class UnknownKernelError(ReproError, ValueError):
 
     ``kernel`` is the rejected name, ``available`` the names that would
     have resolved, and ``reason`` (when set) explains why a *known*
-    backend is unavailable in this environment -- e.g. the ``numba``
-    kernel on a machine without numba installed.  Raised eagerly by
+    backend is unavailable in this environment -- e.g. one whose
+    optional dependency is not installed.  Raised eagerly by
     :func:`repro.kernels.get_kernel` and by the facade's constructor so
     a typo fails before any I/O is spent; the CLI maps it to exit
     code 14.

@@ -10,10 +10,7 @@ caches, and a registry of interchangeable counting backends:
     the per-query loop kept as the correctness oracle,
 ``numpy_batched``
     query-tiled blocked broadcasting with a memory cap and exact early
-    pruning (the default),
-``numba``
-    an optional compiled backend, auto-detected when numba is
-    installed and promoted to default when present.
+    pruning (the default).
 
 All kernels return bit-identical ``per_query`` counts (the equivalence
 property tests enforce it), so the selection -- via
@@ -43,22 +40,19 @@ from .registry import (
 )
 
 # Importing the backend modules registers them; reference first so the
-# oracle is always present, then the default, then optional backends.
+# oracle is always present, then the default.
 from .reference import ReferenceKernel
 from .batched import DEFAULT_MEMORY_CAP_BYTES, MEMORY_CAP_ENV_VAR, NumpyBatchedKernel
-from .numba_backend import NUMBA_AVAILABLE, NumbaKernel
 
 __all__ = [
     "DEFAULT_KERNEL",
     "DEFAULT_MEMORY_CAP_BYTES",
     "KERNEL_ENV_VAR",
     "MEMORY_CAP_ENV_VAR",
-    "NUMBA_AVAILABLE",
     "PREFERRED_KERNEL",
     "BatchPlan",
     "CountingKernel",
     "LeafGeometry",
-    "NumbaKernel",
     "NumpyBatchedKernel",
     "ReferenceKernel",
     "as_radii_grid",

@@ -3,22 +3,29 @@
 Processes the whole workload in query tiles instead of one query at a
 time.  Each tile takes one dense pass over dimension 0 against all k
 leaf boxes, then compacts to the surviving (query, leaf) pairs and
-streams the remaining dimensions as flat unit-stride gathers, pruning
-pairs as soon as their partial squared mindist exceeds the squared
-radius.  The tile height is chosen so the dense pass never materializes
-more than ``memory_cap_bytes`` of temporaries -- 10k queries against
-100k leaves runs in bounded memory no matter the workload shape.  The
-tile pass emits the surviving ``(query, leaf, dist_sq)`` pairs:
-``count_knn`` and ``count_grid`` count them, and ``knn_pairs`` hands
-them to the on-disk measurement, which orders its leaf reads by them.
+takes the remaining dimensions in blocks of 1, 2, 4, 8, ... dimensions:
+one gather per operand for the whole block, the block's squared gaps
+folded into each pair's partial sum one dimension at a time, then one
+prune of the pairs whose partial squared mindist exceeds the squared
+radius.  A small dispatch therefore costs a few numpy calls per block,
+not a dozen per dimension.  The tile height is chosen so the dense pass
+never materializes more than ``memory_cap_bytes`` of temporaries, and
+each block is narrowed so its temporaries fit the same budget -- 10k
+queries against 100k leaves runs in bounded memory no matter the
+workload shape.  The tile pass emits the surviving
+``(query, leaf, dist_sq)`` pairs: ``count_knn`` and ``count_grid``
+count them, and ``knn_pairs`` hands them to the on-disk measurement,
+which orders its leaf reads by them.
 
 Pruning is exact, not approximate: squared gaps are non-negative and
 float addition of non-negative terms is monotone (``fl(s + x) >= s``),
 so a partial sum that exceeds ``radius * radius`` can never fall back
 under it and the pair's final ``dist <= r**2`` test is already decided.
-Surviving pairs accumulate their gap terms in the same sequential
-j = 0 .. d-1 float64 order as the :mod:`~repro.kernels.reference`
-oracle, which is what makes the returned counts bit-identical to it.
+A pair pruned at the end of a block rather than at the dimension where
+it crossed is therefore pruned just the same.  Surviving pairs
+accumulate their gap terms in the same sequential j = 0 .. d-1 float64
+order as the :mod:`~repro.kernels.reference` oracle, which is what
+makes the returned counts bit-identical to it.
 """
 
 from __future__ import annotations
@@ -27,11 +34,17 @@ import os
 
 import numpy as np
 
+from ..errors import InputValidationError
 from .batch import as_radii_grid
 from .geometry import LeafGeometry
 from .registry import register_kernel
 
-__all__ = ["DEFAULT_MEMORY_CAP_BYTES", "MEMORY_CAP_ENV_VAR", "NumpyBatchedKernel"]
+__all__ = [
+    "DEFAULT_MEMORY_CAP_BYTES",
+    "MEMORY_CAP_ENV_VAR",
+    "NumpyBatchedKernel",
+    "memory_cap_from_env",
+]
 
 #: default ceiling on per-tile temporary allocations (64 MiB)
 DEFAULT_MEMORY_CAP_BYTES = 64 << 20
@@ -41,8 +54,30 @@ MEMORY_CAP_ENV_VAR = "REPRO_KERNEL_CAP_BYTES"
 
 # The dim-0 dense pass holds ~6 float64/bool (q_tile, k) temporaries at
 # its peak (two maximum() operands, their sum, the square, the alive
-# mask, and nonzero's scratch); the tile height is sized against that.
+# mask, and nonzero's scratch); the tile height is sized against that,
+# and a dimension block's width against the same budget per element.
 _BUFFERS_PER_PAIR = 6
+
+
+def memory_cap_from_env() -> int:
+    """The cap ``REPRO_KERNEL_CAP_BYTES`` sets, or the default when unset.
+
+    Raises :class:`~repro.errors.InputValidationError` naming the
+    variable and its value unless it is a positive integer byte count.
+    """
+    env = os.environ.get(MEMORY_CAP_ENV_VAR)
+    if not env:
+        return DEFAULT_MEMORY_CAP_BYTES
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap <= 0:
+        raise InputValidationError(
+            f"{MEMORY_CAP_ENV_VAR} must be a positive integer number of "
+            f"bytes, got {env!r}"
+        )
+    return cap
 
 
 class NumpyBatchedKernel:
@@ -52,10 +87,11 @@ class NumpyBatchedKernel:
 
     def __init__(self, memory_cap_bytes: int | None = None) -> None:
         if memory_cap_bytes is None:
-            env = os.environ.get(MEMORY_CAP_ENV_VAR)
-            memory_cap_bytes = int(env) if env else DEFAULT_MEMORY_CAP_BYTES
+            memory_cap_bytes = memory_cap_from_env()
         if memory_cap_bytes <= 0:
-            raise ValueError("memory_cap_bytes must be positive")
+            raise InputValidationError(
+                f"memory_cap_bytes must be positive, got {memory_cap_bytes}"
+            )
         self.memory_cap_bytes = int(memory_cap_bytes)
 
     def _tile_height(self, n_queries: int, n_leaves: int) -> int:
@@ -118,9 +154,8 @@ class NumpyBatchedKernel:
                 geometry, queries[start:stop], bound_sq[start:stop]
             )
 
-    @staticmethod
     def _pairs_tile(
-        geometry: LeafGeometry, queries: np.ndarray, bound_sq: np.ndarray
+        self, geometry: LeafGeometry, queries: np.ndarray, bound_sq: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         lower_t, upper_t = geometry.lower_t, geometry.upper_t
         n_dims = lower_t.shape[0]
@@ -133,20 +168,43 @@ class NumpyBatchedKernel:
         rows, cols = np.nonzero(gap <= bound_sq[:, None])
         dist_sq = gap[rows, cols]
         del gap
-        # Stream the remaining dimensions over the surviving pairs only,
-        # compacting whenever the partial sum has decided a pair.
-        for j in range(1, n_dims):
-            point_j = queries[rows, j]
-            gap_j = np.maximum(lower_t[j][cols] - point_j, 0.0)
-            gap_j += np.maximum(point_j - upper_t[j][cols], 0.0)
-            gap_j *= gap_j
-            dist_sq += gap_j
-            keep = dist_sq <= bound_sq[rows]
+        # The remaining dimensions in doubling blocks over the surviving
+        # pairs: one gather per operand, the block's squared gaps folded
+        # in dimension by dimension, then one prune per block.
+        queries_t = np.ascontiguousarray(queries.T)
+        bound = bound_sq[rows]
+        start, width = 1, 1
+        while start < n_dims and rows.size:
+            stop = self._block_stop(start, width, n_dims, rows.size)
+            point = queries_t[start:stop].take(rows, axis=1)
+            gap = lower_t[start:stop].take(cols, axis=1)
+            gap -= point
+            np.maximum(gap, 0.0, out=gap)
+            point -= upper_t[start:stop].take(cols, axis=1)
+            np.maximum(point, 0.0, out=point)
+            gap += point
+            gap *= gap
+            # A left fold in dimension order, as in the reference loop;
+            # np.sum / add.reduce / einsum leave the order unspecified.
+            for column in gap:
+                dist_sq += column
+            del point, gap
+            keep = dist_sq <= bound
             if not keep.all():
                 rows = rows[keep]
                 cols = cols[keep]
                 dist_sq = dist_sq[keep]
+                bound = bound[keep]
+            start, width = stop, 2 * width
         return rows, cols, dist_sq
+
+    def _block_stop(
+        self, start: int, width: int, n_dims: int, n_pairs: int
+    ) -> int:
+        """End of the dimension block from ``start``: ``width`` wide,
+        narrowed so its ``(width, n_pairs)`` temporaries fit the cap."""
+        fits = self.memory_cap_bytes // (n_pairs * 8 * _BUFFERS_PER_PAIR)
+        return min(n_dims, start + max(1, min(width, fits)))
 
     # -- fused grid ------------------------------------------------------
 
@@ -204,9 +262,8 @@ class NumpyBatchedKernel:
             )
         return counts
 
-    @staticmethod
     def _range_tile(
-        geometry: LeafGeometry, q_lower: np.ndarray, q_upper: np.ndarray
+        self, geometry: LeafGeometry, q_lower: np.ndarray, q_upper: np.ndarray
     ) -> np.ndarray:
         lower_t, upper_t = geometry.lower_t, geometry.upper_t
         n_dims = lower_t.shape[0]
@@ -215,13 +272,21 @@ class NumpyBatchedKernel:
         )
         rows, cols = np.nonzero(overlap)
         del overlap
-        for j in range(1, n_dims):
-            keep = (q_lower[rows, j] <= upper_t[j][cols]) & (
-                lower_t[j][cols] <= q_upper[rows, j]
-            )
+        q_lower_t = np.ascontiguousarray(q_lower.T)
+        q_upper_t = np.ascontiguousarray(q_upper.T)
+        start, width = 1, 1
+        while start < n_dims and rows.size:
+            stop = self._block_stop(start, width, n_dims, rows.size)
+            lower = lower_t[start:stop].take(cols, axis=1)
+            upper = upper_t[start:stop].take(cols, axis=1)
+            hits = q_lower_t[start:stop].take(rows, axis=1) <= upper
+            hits &= lower <= q_upper_t[start:stop].take(rows, axis=1)
+            keep = hits.all(axis=0)
+            del lower, upper, hits
             if not keep.all():
                 rows = rows[keep]
                 cols = cols[keep]
+            start, width = stop, 2 * width
         return np.bincount(rows, minlength=q_lower.shape[0]).astype(np.int64)
 
 

@@ -9,13 +9,11 @@ property tests), so selecting one is purely a performance decision and
 no paper result can change with the selection.
 
 Selection order: an explicit name beats the ``REPRO_KERNEL``
-environment variable beats ``numba`` when that backend registered
-(i.e. the package is importable) beats the fallback default
-(``numpy_batched``).  Unknown names raise the typed
-:class:`~repro.errors.UnknownKernelError` -- eagerly, so a typo fails
-before any I/O is spent.  Optional backends (numba) register themselves
-as *unavailable* with a reason when their dependency is missing, which
-the error message surfaces.
+environment variable beats the preferred default (``numpy_batched``).
+Unknown names raise the typed :class:`~repro.errors.UnknownKernelError`
+-- eagerly, so a typo fails before any I/O is spent.  A backend whose
+dependency is missing can register itself as *unavailable* with a
+reason, which the error message surfaces.
 """
 
 from __future__ import annotations
@@ -41,11 +39,13 @@ __all__ = [
     "register_unavailable",
 ]
 
-#: the fallback kernel when nothing else chooses and numba is absent
+#: the kernel an unqualified lookup resolves to when no name or
+#: ``REPRO_KERNEL`` chooses
 DEFAULT_KERNEL = "numpy_batched"
 
-#: the backend promoted to default whenever it managed to register
-PREFERRED_KERNEL = "numba"
+#: the top of the selection ladder below an explicit name and
+#: ``REPRO_KERNEL``; the same backend as ``DEFAULT_KERNEL``
+PREFERRED_KERNEL = DEFAULT_KERNEL
 
 #: environment variable consulted when no explicit name is given (this
 #: is what the CI kernel matrix sets to run the whole suite per backend)
@@ -120,17 +120,9 @@ def available_kernels() -> tuple[str, ...]:
 def default_kernel_name() -> str:
     """The name an unqualified :func:`get_kernel` call resolves to.
 
-    ``REPRO_KERNEL`` wins when set; otherwise the compiled ``numba``
-    backend whenever it registered in this process (importable numba),
-    falling back to ``numpy_batched``.
+    ``REPRO_KERNEL`` wins when set; otherwise ``PREFERRED_KERNEL``.
     """
-    env = os.environ.get(KERNEL_ENV_VAR)
-    if env:
-        return env
-    with _lock:
-        if PREFERRED_KERNEL in _factories:
-            return PREFERRED_KERNEL
-    return DEFAULT_KERNEL
+    return os.environ.get(KERNEL_ENV_VAR) or PREFERRED_KERNEL
 
 
 def get_kernel(name: str | None = None) -> CountingKernel:
@@ -140,7 +132,7 @@ def get_kernel(name: str | None = None) -> CountingKernel:
     configuration, so one instance serves every predictor.  Raises
     :class:`~repro.errors.UnknownKernelError` for names that are not
     registered, with the reason attached when the backend is known but
-    unavailable (e.g. numba not installed).
+    unavailable (e.g. a missing dependency).
     """
     resolved = name if name is not None else default_kernel_name()
     with _lock:

@@ -172,8 +172,9 @@ def _bound_levels(points: np.ndarray, levels: list[list[Node]]) -> None:
     if np.any(full):
         rows = points[np.concatenate([leaf.point_ids for leaf in leaves])]
         starts = (np.cumsum(sizes) - sizes)[full]
-        lower[full] = np.minimum.reduceat(rows, starts, axis=0)
-        upper[full] = np.maximum.reduceat(rows, starts, axis=0)
+        # ``+ 0.0`` as in ``mbr_of_points``: one signed zero per corner.
+        lower[full] = np.minimum.reduceat(rows, starts, axis=0) + 0.0
+        upper[full] = np.maximum.reduceat(rows, starts, axis=0) + 0.0
     _set_boxes(leaves, full, lower, upper)
     for nodes in levels[1:]:
         fanouts = np.array([node.fanout for node in nodes], dtype=np.int64)

@@ -137,7 +137,10 @@ def mbr_of_points(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] == 0:
         raise ValueError(f"expected a non-empty (n, d) array, got {points.shape}")
-    return points.min(axis=0), points.max(axis=0)
+    # ``+ 0.0`` makes a zero corner ``+0.0``: which signed zero a min or
+    # max keeps depends on numpy's reduction order, and corners are
+    # compared bitwise.
+    return points.min(axis=0) + 0.0, points.max(axis=0) + 0.0
 
 
 def volume(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:

@@ -1,16 +1,21 @@
 """The counting-kernel contract: every backend is bit-identical.
 
-The kernels package promises that ``reference`` (the per-query oracle),
-``numpy_batched`` (the tiled default), and any optional backend return
-*exactly* equal ``int64`` counts for the same geometry and workload --
-not merely close.  These tests enforce that promise three ways: by
-property (random geometries and workloads, including empty and
-degenerate ones), by layer (each predictor run under each kernel), and
-by interface (registry resolution, the typed unknown-kernel error, and
-the CLI exit code it maps to).
+The kernels package promises that ``reference`` (the per-query oracle)
+and ``numpy_batched`` (the tiled default) return *exactly* equal
+``int64`` counts for the same geometry and workload -- not merely
+close.  These tests enforce that promise three ways: by property
+(random geometries and workloads at up to 70 dimensions, so the batched
+kernel's doubling dimension blocks are crossed at every edge, including
+empty and degenerate cases), by layer (each predictor run under each
+kernel), and by interface (registry resolution, the typed unknown-kernel
+and malformed-cap errors, and the CLI exit codes they map to).  The
+batched kernel's pairs are also held bitwise to the per-dimension
+stream it replaced (``tests/kernel_oracle.py``).
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,11 +26,12 @@ from repro.cli import main
 from repro.core.dynamic import DynamicMiniIndexModel
 from repro.core.kdb_model import KDBMiniIndexModel
 from repro.core.predictor import IndexCostPredictor
-from repro.errors import UnknownKernelError
+from repro.errors import InputValidationError, UnknownKernelError
 from repro.kernels import (
     DEFAULT_KERNEL,
+    DEFAULT_MEMORY_CAP_BYTES,
     KERNEL_ENV_VAR,
-    NUMBA_AVAILABLE,
+    MEMORY_CAP_ENV_VAR,
     PREFERRED_KERNEL,
     BatchPlan,
     LeafGeometry,
@@ -39,25 +45,54 @@ from repro.kernels import registry as kernel_registry
 from repro.kernels.reference import ReferenceKernel
 from repro.workload.queries import KNNWorkload, RangeWorkload
 
+from .kernel_oracle import count_range_by_stream, knn_pairs_by_stream
+
 FAST = ["--dataset", "TEXTURE48", "--scale", "0.05", "--queries", "10",
         "--memory", "500"]
 
+# The batched kernel's dimension blocks start at 1, 2, 4, ..., 64; these
+# dimensionalities end a walk on each side of every block edge.
+BLOCK_EDGES = (2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65)
+
+#: dimensionality up to 70 -- the benchmark datasets are 48-360-d --
+#: with the block edges drawn as often as the rest
+DIMS = st.one_of(st.integers(1, 70), st.sampled_from(BLOCK_EDGES))
+
+#: memory caps from one-row tiles with width-1 blocks (a few bytes) up
+#: to whole-block widths over every pair (32 MiB), log-uniform
+CAPS = st.integers(0, 25).flatmap(
+    lambda e: st.integers(1 << e, (2 << e) - 1)
+)
+
 
 def _random_case(seed: int, k: int, d: int, n_queries: int):
-    """A random leaf geometry plus spheres and ranges probing it."""
+    """A random leaf geometry plus spheres and ranges probing it.
+
+    Each sphere's radius is the mindist to a random leaf, so counts
+    spread over 1..k and pairs leave the pair walk at every dimension,
+    the last included; each range box's half-widths scale with one
+    per-query draw, so overlaps also end at every dimension.
+    """
     gen = np.random.default_rng(seed)
     lower = gen.random((k, d)) * 2.0 - 0.5
     extent = gen.random((k, d)) * 0.4
     # Sprinkle degenerate (zero-extent) sides and whole-point leaves.
     extent[gen.random((k, d)) < 0.15] = 0.0
-    geometry = LeafGeometry.from_corners(lower, lower + extent)
+    upper = lower + extent
+    geometry = LeafGeometry.from_corners(lower, upper)
     queries = gen.random((n_queries, d)) * 2.0 - 0.5
-    radii = gen.random(n_queries) * 0.6
+    gap = np.maximum(lower[None] - queries[:, None], 0.0)
+    gap += np.maximum(queries[:, None] - upper[None], 0.0)
+    dist_sq = np.cumsum(gap * gap, axis=-1)[..., -1]
+    picked = gen.integers(0, k, n_queries)
+    radii = np.sqrt(dist_sq[np.arange(n_queries), picked])
     radii[gen.random(n_queries) < 0.2] = 0.0  # radius-0 point probes
-    q_lower = gen.random((n_queries, d)) * 2.0 - 0.5
-    q_extent = gen.random((n_queries, d)) * 0.5
-    q_extent[gen.random((n_queries, d)) < 0.2] = 0.0
-    return geometry, queries, radii, q_lower, q_lower + q_extent
+    centre = gen.random((n_queries, d)) * 2.0 - 0.5
+    half = gen.random((n_queries, 1)) * 2.2 * (
+        0.8 + 0.2 * gen.random((n_queries, d))
+    )
+    half[gen.random((n_queries, d)) < 0.2 / d] = 0.0
+    return geometry, queries, radii, centre - half, centre + half
 
 
 class TestKernelEquivalence:
@@ -66,7 +101,7 @@ class TestKernelEquivalence:
     @given(
         st.integers(0, 10_000),
         st.integers(1, 120),
-        st.integers(1, 6),
+        DIMS,
         st.integers(1, 40),
     )
     @settings(max_examples=40, deadline=None)
@@ -81,7 +116,7 @@ class TestKernelEquivalence:
     @given(
         st.integers(0, 10_000),
         st.integers(1, 120),
-        st.integers(1, 6),
+        DIMS,
         st.integers(1, 40),
     )
     @settings(max_examples=40, deadline=None)
@@ -133,16 +168,17 @@ class TestKernelEquivalence:
     @given(
         st.integers(0, 10_000),
         st.integers(1, 200),
-        st.integers(1, 8),
+        DIMS,
         st.integers(1, 50),
-        st.integers(1, 4096),
+        CAPS,
     )
     @settings(max_examples=30, deadline=None)
     def test_tiling_invariant_under_memory_cap(
         self, seed, k, d, n_queries, cap
     ):
-        """Shrinking the tile cap to pathological sizes never changes
-        the counts -- tiling is a pure execution-shape choice."""
+        """Shrinking the cap to pathological sizes -- one-row tiles,
+        width-1 dimension blocks -- never changes the counts: tiling and
+        block widths are pure execution-shape choices."""
         geometry, queries, radii, q_lower, q_upper = _random_case(
             seed, k, d, n_queries
         )
@@ -158,6 +194,73 @@ class TestKernelEquivalence:
         )
 
 
+class TestBlockWalk:
+    """The batched kernel's doubling dimension blocks against the
+    per-dimension stream they replaced (``tests/kernel_oracle.py``)."""
+
+    @given(
+        st.integers(0, 10_000),
+        st.integers(1, 200),
+        DIMS,
+        st.integers(1, 50),
+        CAPS,
+        st.integers(1, 4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_pairs_match_stream_oracle(self, seed, k, d, n_queries, cap, g):
+        geometry, queries, radii, q_lower, q_upper = _random_case(
+            seed, k, d, n_queries
+        )
+        kernel = NumpyBatchedKernel(memory_cap_bytes=cap)
+        reference = get_kernel("reference")
+        bound_sq = radii * radii
+        pairs = kernel.knn_pairs(geometry, queries, bound_sq)
+        for got, want in zip(pairs, knn_pairs_by_stream(
+            geometry, queries, bound_sq
+        )):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+            assert got.tobytes() == want.tobytes()
+        rows, cols, _ = pairs
+        assert (np.diff(rows * k + cols) > 0).all(), "not sorted by (row, col)"
+        scale = np.random.default_rng(seed).random((g, 1)) * 2.0
+        grid = radii[None, :] * scale
+        fused = kernel.count_grid(geometry, queries, grid)
+        for r in range(g):
+            np.testing.assert_array_equal(
+                fused[r], reference.count_knn(geometry, queries, grid[r])
+            )
+        counts = kernel.count_range(geometry, q_lower, q_upper)
+        np.testing.assert_array_equal(
+            counts, reference.count_range(geometry, q_lower, q_upper)
+        )
+        np.testing.assert_array_equal(
+            counts, count_range_by_stream(geometry, q_lower, q_upper)
+        )
+
+    def test_block_temporaries_stay_under_cap(self):
+        """Every pair survives to the last dimension, so the cap -- room
+        for 8-wide blocks over all pairs -- and not the doubling
+        schedule bounds the later blocks."""
+        gen = np.random.default_rng(0)
+        k, d, n_queries = 256, 70, 16
+        lower = gen.random((k, d))
+        geometry = LeafGeometry.from_corners(lower, lower + 0.1)
+        queries = gen.random((n_queries, d))
+        radii = np.full(n_queries, float(d))
+        cap = 8 * 6 * 8 * n_queries * k
+        kernel = NumpyBatchedKernel(memory_cap_bytes=cap)
+        geometry.lower_t, geometry.upper_t  # cached before the trace
+        tracemalloc.start()
+        try:
+            counts = kernel.count_knn(geometry, queries, radii)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (counts == k).all()
+        assert peak <= cap, f"peak {peak:,} bytes over the {cap:,} cap"
+
+
 class TestFusedGrid:
     """The fused multi-radius contract: ``count_grid`` row ``r`` equals
     ``count_knn`` at ``radii_grid[r]``, bit for bit, on every backend."""
@@ -165,7 +268,7 @@ class TestFusedGrid:
     @given(
         st.integers(0, 10_000),
         st.integers(1, 120),
-        st.integers(1, 6),
+        DIMS,
         st.integers(1, 30),
         st.integers(1, 6),
     )
@@ -285,24 +388,23 @@ class TestBatchPlanAndGrid:
 
 
 class TestRegistry:
-    @pytest.mark.skipif(NUMBA_AVAILABLE, reason="numba is installed here")
-    def test_default_is_batched_without_numba(self, monkeypatch):
+    def test_default_is_batched(self, monkeypatch):
         monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-        assert DEFAULT_KERNEL == "numpy_batched"
+        assert DEFAULT_KERNEL == PREFERRED_KERNEL == "numpy_batched"
         assert default_kernel_name() == "numpy_batched"
         assert get_kernel().name == "numpy_batched"
 
     def test_preferred_kernel_ladder(self, monkeypatch):
-        """Explicit env beats numba-if-importable beats numpy_batched."""
-        assert PREFERRED_KERNEL == "numba"
+        """Explicit name beats env beats numpy_batched; no other
+        registered backend is ever promoted over it."""
         monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-        if "numba" not in kernel_registry._factories:
-            monkeypatch.setitem(
-                kernel_registry._factories, "numba", ReferenceKernel
-            )
-        assert default_kernel_name() == "numba"
+        monkeypatch.setitem(
+            kernel_registry._factories, "numba", ReferenceKernel
+        )
+        assert default_kernel_name() == "numpy_batched"
         monkeypatch.setenv(KERNEL_ENV_VAR, "reference")
         assert default_kernel_name() == "reference"
+        assert get_kernel("numpy_batched").name == "numpy_batched"
 
     def test_env_var_resolution(self, monkeypatch):
         monkeypatch.setenv(KERNEL_ENV_VAR, "reference")
@@ -334,17 +436,43 @@ class TestRegistry:
         with pytest.raises(UnknownKernelError):
             get_kernel()
 
-    @pytest.mark.skipif(NUMBA_AVAILABLE, reason="numba is installed here")
-    def test_missing_numba_explains_itself(self):
-        assert "numba" not in available_kernels()
+    def test_unavailable_backend_explains_itself(self, monkeypatch):
+        assert available_kernels() == ("numpy_batched", "reference")
+        monkeypatch.setitem(
+            kernel_registry._unavailable, "fpga", "no FPGA attached"
+        )
+        with pytest.raises(UnknownKernelError) as excinfo:
+            get_kernel("fpga")
+        assert "no FPGA attached" in str(excinfo.value)
         with pytest.raises(UnknownKernelError) as excinfo:
             get_kernel("numba")
-        assert "not installed" in str(excinfo.value)
+        assert excinfo.value.reason is None
 
-    @pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-    def test_numba_registered_when_available(self):
-        assert "numba" in available_kernels()
-        assert get_kernel("numba").name == "numba"
+
+class TestMemoryCap:
+    """``REPRO_KERNEL_CAP_BYTES`` is validated as eagerly as
+    ``REPRO_KERNEL``, with the typed input error."""
+
+    @pytest.mark.parametrize("value", ["64MiB", "0", "-4096", "1.5"])
+    def test_malformed_env_cap_fails_at_construction(self, monkeypatch, value):
+        monkeypatch.setenv(MEMORY_CAP_ENV_VAR, value)
+        with pytest.raises(InputValidationError) as excinfo:
+            IndexCostPredictor(dim=16, memory=300, c_data=32, c_dir=16)
+        assert MEMORY_CAP_ENV_VAR in str(excinfo.value)
+        assert repr(value) in str(excinfo.value)
+        with pytest.raises(InputValidationError):
+            NumpyBatchedKernel()
+
+    def test_env_cap_sets_the_cap(self, monkeypatch):
+        monkeypatch.setenv(MEMORY_CAP_ENV_VAR, "65536")
+        assert NumpyBatchedKernel().memory_cap_bytes == 65536
+        monkeypatch.delenv(MEMORY_CAP_ENV_VAR)
+        default = NumpyBatchedKernel().memory_cap_bytes
+        assert default == DEFAULT_MEMORY_CAP_BYTES
+
+    def test_explicit_cap_must_be_positive(self):
+        with pytest.raises(InputValidationError):
+            NumpyBatchedKernel(memory_cap_bytes=0)
 
 
 class TestPredictorsKernelInvariant:
@@ -454,6 +582,12 @@ class TestCLIKernelFlag:
     def test_unknown_env_kernel_exits_14(self, monkeypatch):
         monkeypatch.setenv(KERNEL_ENV_VAR, "quantum")
         assert main(["predict", *FAST]) == 14
+
+    def test_malformed_env_cap_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setenv(MEMORY_CAP_ENV_VAR, "64MiB")
+        assert main(["predict", *FAST]) == 3
+        err = capsys.readouterr().err
+        assert "InputValidationError" in err and "'64MiB'" in err
 
 
 class TestLeafGeometry:
