@@ -19,6 +19,12 @@ a served request's shape (24 queries against ~220 leaves of a 64-d
 tree) and a cluster leg's (16 queries against 16 leaves of a 48-d
 tree), each with exact 21-NN radii.  Their counts must equal
 ``reference``; their seconds per dispatch are recorded, not gated.
+
+One large cell has the shape of the Table 3 prediction's count (500
+queries against 2,560 leaves of a 60-d tree, exact 21-NN radii).  It
+is timed at the default tile budget and at the old 64 MiB one, so the
+cache-sized tiles' effect stays on record; its counts must equal
+``reference`` and nothing is gated.
 """
 
 from __future__ import annotations
@@ -31,7 +37,13 @@ import numpy as np
 
 from repro.data import generators
 from repro.experiments import format_table
-from repro.kernels import LeafGeometry, available_kernels, get_kernel
+from repro.kernels import (
+    DEFAULT_MEMORY_CAP_BYTES,
+    LeafGeometry,
+    NumpyBatchedKernel,
+    available_kernels,
+    get_kernel,
+)
 from repro.rtree.tree import RTree
 from repro.workload.queries import exact_knn_radii
 
@@ -43,6 +55,11 @@ SMALL_DISPATCHES = (
     ("serve", 24, 4_400, 64, 20),
     ("cluster_leg", 16, 320, 48, 20),
 )
+#: (queries, points, dim, c_data) of the Table 3 prediction's dispatch
+PREDICT_DISPATCH = (500, 81_920, 60, 32)
+#: tile budgets the predict-shaped cell is timed at: the default and
+#: the 64 MiB memory ceiling it replaced
+PREDICT_BUDGETS = (("default", None), ("64 MiB", 64 << 20))
 RESULT_PATH = Path(__file__).parents[1] / "BENCH_kernels.json"
 
 
@@ -66,7 +83,7 @@ def _workbench(n_queries: int, n_leaves: int, seed: int = 0):
     return geometry, queries, radii
 
 
-def _small_dispatch(n_queries: int, n_points: int, dim: int, c_data: int):
+def _tree_dispatch(n_queries: int, n_points: int, dim: int, c_data: int):
     """A bulk-loaded tree's leaves and 21-NN spheres around its points."""
     gen = np.random.default_rng(0)
     points = generators.gaussian_mixture(
@@ -196,7 +213,7 @@ def test_kernel_throughput(report):
     small_cells = []
     small_rows = []
     for label, n_queries_s, n_points, dim, c_data in SMALL_DISPATCHES:
-        geometry_s, queries_s, radii_s = _small_dispatch(
+        geometry_s, queries_s, radii_s = _tree_dispatch(
             n_queries_s, n_points, dim, c_data
         )
         expected = get_kernel("reference").count_knn(
@@ -233,6 +250,27 @@ def test_kernel_throughput(report):
         title="Small dispatches, 21-NN radii (best of 5 loops)",
     ))
 
+    geometry_p, queries_p, radii_p = _tree_dispatch(*PREDICT_DISPATCH)
+    n_queries_p, dim_p = queries_p.shape
+    expected = get_kernel("reference").count_knn(geometry_p, queries_p, radii_p)
+    budget_seconds = {}
+    for label, cap in PREDICT_BUDGETS:
+        kernel = NumpyBatchedKernel(memory_cap_bytes=cap)
+        np.testing.assert_array_equal(
+            kernel.count_knn(geometry_p, queries_p, radii_p), expected,
+            err_msg=f"numpy_batched at the {label} budget on the predict cell",
+        )
+        budget_seconds[label] = _seconds_per_dispatch(
+            kernel, geometry_p, queries_p, radii_p
+        )
+    report(format_table(
+        ["tile budget", "numpy_batched (ms/dispatch)"],
+        [[label, f"{seconds * 1e3:,.1f}"]
+         for label, seconds in budget_seconds.items()],
+        title=f"Predict-shaped dispatch: {n_queries_p} x {geometry_p.k} x "
+              f"{dim_p}-d, 21-NN radii (best of 5 loops)",
+    ))
+
     RESULT_PATH.write_text(json.dumps({
         "dim": DIM,
         "kernels": list(available_kernels()),
@@ -244,6 +282,16 @@ def test_kernel_throughput(report):
             "kernels": grid_cells,
         },
         "small_dispatches": small_cells,
+        "predict_dispatch": {
+            "n_queries": n_queries_p,
+            "n_leaves": geometry_p.k,
+            "dim": dim_p,
+            "mean_count": round(float(expected.mean()), 2),
+            "default_budget_bytes": DEFAULT_MEMORY_CAP_BYTES,
+            "seconds_per_dispatch": {
+                k: round(v, 6) for k, v in budget_seconds.items()
+            },
+        },
     }, indent=2) + "\n")
 
     headline = cells[-1]["speedup_vs_reference"]["numpy_batched"]

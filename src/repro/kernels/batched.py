@@ -10,7 +10,11 @@ prune of the pairs whose partial squared mindist exceeds the squared
 radius.  A small dispatch therefore costs a few numpy calls per block,
 not a dozen per dimension.  The tile height is chosen so the dense pass
 never materializes more than ``memory_cap_bytes`` of temporaries, and
-each block is narrowed so its temporaries fit the same budget -- 10k
+each block is narrowed so its temporaries fit the same budget.  That
+budget is the tile's working set, sized by default to a core's cache
+(2 MiB) rather than to main memory: the dense pass and every block's
+slabs then stay cache-resident instead of streaming through memory,
+and the same number is the ceiling on the kernel's temporaries -- 10k
 queries against 100k leaves runs in bounded memory no matter the
 workload shape.  The tile pass emits the surviving
 ``(query, leaf, dist_sq)`` pairs: ``count_knn`` and ``count_grid``
@@ -46,8 +50,11 @@ __all__ = [
     "memory_cap_from_env",
 ]
 
-#: default ceiling on per-tile temporary allocations (64 MiB)
-DEFAULT_MEMORY_CAP_BYTES = 64 << 20
+#: default per-tile working-set budget, which is also the ceiling on the
+#: kernel's temporaries (2 MiB).  Sized to a core's cache: on a 4 MiB-L2
+#: x86-64 host, 1-4 MiB timed alike and 64 MiB about 1.8x slower on a
+#: 500 x 2,560 x 60-d dispatch (docs/PERFORMANCE.md, section 10).
+DEFAULT_MEMORY_CAP_BYTES = 2 << 20
 
 #: environment override for the cap, in bytes
 MEMORY_CAP_ENV_VAR = "REPRO_KERNEL_CAP_BYTES"

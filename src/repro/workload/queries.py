@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..kernels.batched import memory_cap_from_env
 from ..kernels.geometry import ordered_sum_sq
 
 __all__ = [
@@ -269,7 +270,12 @@ def search_kth_sq(points: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray
     every point whose search distance is within the k-th one lies within
     a slack of twice that bound above the scan's k-th distance.  The
     candidates, ties included, are measured again in the search's
-    arithmetic, and the k-th smallest of those is the answer.
+    arithmetic, and the k-th smallest of those is the answer.  They are
+    measured in chunks of about the counting kernel's tile budget
+    (``REPRO_KERNEL_CAP_BYTES``, read at call time) of ``(rows, d)``
+    differences, so the peak does not grow with ``d``; each row's
+    ordered sum does not depend on the chunking, so neither does the
+    answer.
     """
     points, queries = _as_knn_inputs(points, queries, k)
     dim = points.shape[1]
@@ -285,8 +291,9 @@ def search_kth_sq(points: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray
     )
     _, (rows, cols, _) = _knn_scan(points, queries, k, slack, 65536)
     exact = np.empty(rows.size)
-    for start in range(0, rows.size, 65536):
-        part = slice(start, start + 65536)
+    chunk = max(1, memory_cap_from_env() // (8 * max(1, dim)))
+    for start in range(0, rows.size, chunk):
+        part = slice(start, start + chunk)
         exact[part] = ordered_sum_sq(points[cols[part]] - queries[rows[part]])
     order = np.lexsort((exact, rows))
     starts = np.searchsorted(rows[order], np.arange(queries.shape[0]))

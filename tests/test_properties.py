@@ -384,3 +384,34 @@ class TestMonotoneInQuerySize:
             if previous is not None:
                 assert np.all(previous <= counts)
             previous = counts
+
+    @given(st.integers(150, 500), st.integers(2, 4), st.integers(0, 1000),
+           st.sampled_from(["resampled", "cutoff", "mini"]),
+           st.integers(1, 12), st.integers(1, 12))
+    @settings(max_examples=24, deadline=None)
+    def test_knn_k_growth(self, n, d, seed, method, k, more):
+        """The same query ids at a larger k: the k-th neighbor is no
+        nearer, so neither the predicted nor the measured accesses fall."""
+        from repro import IndexCostPredictor
+        from repro.workload.queries import density_biased_knn_workload
+
+        points = np.random.default_rng(seed).random((n, d))
+        small, large = (
+            density_biased_knn_workload(
+                points, 12, kk, np.random.default_rng(seed + 1))
+            for kk in (k, k + more)
+        )
+        assert np.array_equal(small.query_ids, large.query_ids)
+        predictor = IndexCostPredictor(dim=d, memory=60, c_data=8, c_dir=4)
+        predicted = [
+            predictor.predict(points, workload, method=method, seed=seed,
+                              degrade=False, sampling_fraction=0.3).per_query
+            for workload in (small, large)
+        ]
+        assert np.all(predicted[0] <= predicted[1])
+        index = predictor.build_ondisk(points)
+        measured = [
+            predictor.measure(points, workload, index=index).per_query
+            for workload in (small, large)
+        ]
+        assert np.all(measured[0] <= measured[1])

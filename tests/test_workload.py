@@ -7,12 +7,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.kernels import MEMORY_CAP_ENV_VAR
+from repro.kernels.geometry import ordered_sum_sq
 from repro.workload.queries import (
     KNNWorkload,
     RangeWorkload,
     density_biased_knn_workload,
     density_biased_range_workload,
     exact_knn_radii,
+    search_kth_sq,
 )
 
 
@@ -85,6 +88,34 @@ class TestExactRadii:
         points = rng.random((30, 4))
         radii = exact_knn_radii(points, points[0], k=3)
         assert radii.shape == (1,)
+
+
+class TestSearchKthSq:
+    def test_bitwise_across_chunk_sizes(self, rng, monkeypatch):
+        """Every chunking -- one row, a few rows, the default, all rows
+        at once -- gives the k-th ordered sum of one whole pass."""
+        points = rng.random((400, 37))
+        queries = np.concatenate([points[:20], rng.random((13, 37))])
+        whole = ordered_sum_sq(points[None, :, :] - queries[:, None, :])
+        expected = np.sort(whole, axis=1)[:, 9]
+        for cap in (1, 8 * 37 * 3, 8 * 37 * 64 + 5, 2 << 20, 1 << 40):
+            monkeypatch.setenv(MEMORY_CAP_ENV_VAR, str(cap))
+            got = search_kth_sq(points, queries, 10)
+            assert got.tobytes() == expected.tobytes(), cap
+
+    def test_peak_memory_does_not_grow_with_dimension(self):
+        """At 617-d (ISOLET617's width) the re-measure of the candidates
+        stays within a few tile budgets, as the blocked scan does."""
+        gen = np.random.default_rng(0)
+        points = gen.random((2_000, 617))
+        queries = points[gen.choice(2_000, 500, replace=False)].copy()
+        tracemalloc.start()
+        try:
+            search_kth_sq(points, queries, 21)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"peak {peak:,} bytes"
 
 
 class TestKNNWorkload:
