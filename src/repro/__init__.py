@@ -70,7 +70,6 @@ from .cluster import (
     PredictionCluster,
     Router,
     RoutingTable,
-    run_cluster_loadtest,
 )
 from .kernels import LeafGeometry, available_kernels, get_kernel
 from .ondisk import MeasurementResult, OnDiskBuilder, OnDiskIndex, measure_knn
@@ -94,7 +93,6 @@ from .service import (
     TenantQuota,
     fit_model,
     load_artifact,
-    run_loadtest,
     save_artifact,
 )
 from .workload import (
@@ -150,7 +148,6 @@ __all__ = [
     "PredictionCluster",
     "Router",
     "RoutingTable",
-    "run_cluster_loadtest",
     "LeafGeometry",
     "available_kernels",
     "get_kernel",
@@ -179,7 +176,6 @@ __all__ = [
     "TenantQuota",
     "fit_model",
     "load_artifact",
-    "run_loadtest",
     "save_artifact",
     "KNNWorkload",
     "RangeWorkload",

@@ -15,11 +15,6 @@ Thin wrappers over the library for the workflows the paper motivates:
 ``serve``          run a bounded multi-tenant serving session against
                    the threaded prediction service (warm artifacts,
                    quotas, backpressure) and print the per-tenant books
-``loadtest``       hammer the service with closed-loop clients and
-                   report sustained throughput and p50/p95/p99 latency
-                   (writes ``BENCH_service.json`` with ``--output``;
-                   with ``--replicas N`` the routed cluster is measured
-                   against an equal-worker single service instead)
 ``cluster``        build a sharded, replicated prediction cluster
                    (similarity partition, per-shard page-size tuning,
                    failure-aware routing), walk it through a kill /
@@ -47,7 +42,6 @@ from .cluster import (
     PredictionCluster,
     assert_cluster_invariant,
     run_cluster_chaos,
-    run_cluster_loadtest,
 )
 from .baselines.fractal import FractalCostModel, FractalEstimationError
 from .baselines.uniform_model import UniformCostModel
@@ -78,7 +72,7 @@ from .errors import (
 from .experiments.tables import format_signed_percent, format_table
 from .kernels.registry import KERNEL_ENV_VAR, available_kernels
 from .runtime.budget import Budget
-from .service import PredictionService, TenantQuota, run_loadtest
+from .service import PredictionService, TenantQuota
 from .workload.queries import density_biased_knn_workload
 
 __all__ = ["main"]
@@ -493,101 +487,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_loadtest(args: argparse.Namespace) -> int:
-    if args.replicas:
-        return _cmd_cluster_loadtest(args)
-    result = run_loadtest(
-        n_tenants=args.tenants, workers=args.workers,
-        duration_s=args.duration, max_queue=args.max_queue,
-        memory=args.memory, method=args.method, seed=args.seed,
-        max_inflight=args.max_inflight,
-        artifact_dir=args.artifact_dir,
-        coalesce=args.coalesce,
-        coalesce_window_ms=args.coalesce_window_ms,
-        burst=args.burst,
-    )
-    payload = result.as_dict()
-    rows = [
-        ["throughput", f"{payload['throughput_rps']:,} req/s"],
-        ["p50 latency", f"{payload['latency_ms']['p50']:.3f} ms"],
-        ["p95 latency", f"{payload['latency_ms']['p95']:.3f} ms"],
-        ["p99 latency", f"{payload['latency_ms']['p99']:.3f} ms"],
-        ["resolved", f"{payload['resolved']:,} "
-                     f"({payload['ok']:,} ok, {payload['degraded']:,} "
-                     f"degraded, {payload['errors']:,} errors)"],
-        ["shed / refused", f"{payload['shed_overload']:,} / "
-                           f"{payload['refused_quota']:,}"],
-    ]
-    batching = payload["batching"]
-    if batching.get("enabled"):
-        rows.extend([
-            ["batches", f"{batching['batches_dispatched']:,} "
-                        f"({batching['batched_requests']:,} requests)"],
-            ["batch size", f"mean {batching['mean_batch_size']:.2f}, "
-                           f"max {batching['max_batch_size']}"],
-            ["window hit rate", f"{batching['window_hit_rate']:.2f}"],
-        ])
-    print(format_table(
-        ["metric", "value"], rows,
-        title=f"load test: {args.tenants} tenants, {args.workers} workers, "
-              f"{args.duration:g} s, method {args.method}",
-    ))
-    if args.output:
-        import json
-
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.output}")
-    return 0
-
-
-def _cmd_cluster_loadtest(args: argparse.Namespace) -> int:
-    """``loadtest --replicas N``: routed cluster vs equal-worker single."""
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as fallback:
-        result = run_cluster_loadtest(
-            artifact_root=args.artifact_dir or fallback,
-            n_shards=args.shards,
-            n_replicas=args.replicas,
-            replication=min(args.replication, args.replicas),
-            workers_per_replica=args.workers,
-            duration_s=args.duration,
-            memory=args.memory,
-            seed=args.seed,
-        )
-    payload = result.as_dict()
-    routed, single = payload["cluster"], payload["single"]
-    rows = [
-        ["routed throughput", f"{routed['throughput_rps']:,} req/s"],
-        ["single throughput", f"{single['throughput_rps']:,} req/s"],
-        ["routed p50 / p99", f"{routed['latency_ms']['p50']:.3f} / "
-                             f"{routed['latency_ms']['p99']:.3f} ms"],
-        ["failover p99", f"{routed['failover_latency_ms']['p99']:.3f} ms"],
-        ["resolved", f"{routed['resolved']:,} ({routed['ok']:,} ok, "
-                     f"{routed['failover']:,} failover, "
-                     f"{routed['degraded']:,} degraded, "
-                     f"{routed['errors']:,} errors)"],
-    ]
-    print(format_table(
-        ["metric", "value"], rows,
-        title=f"cluster load test: {args.shards} shards x "
-              f"{args.replicas} replicas (replication "
-              f"{min(args.replication, args.replicas)}), "
-              f"{args.workers} workers each, {args.duration:g} s, "
-              f"primary killed and restarted mid-window",
-    ))
-    if args.output:
-        import json
-
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.output}")
-    return 0
-
-
 def _cmd_cluster(args: argparse.Namespace) -> int:
     import json
     import tempfile
@@ -886,64 +785,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="directory for checksummed warm-start "
                             "artifacts (persist/reuse across sessions)")
     serve.set_defaults(run=_cmd_serve)
-
-    loadtest = commands.add_parser(
-        "loadtest", help="sustained-throughput / tail-latency measurement"
-    )
-    loadtest.add_argument("--tenants", type=int, default=8,
-                          help="closed-loop client tenants (default 8)")
-    loadtest.add_argument("--workers", type=int, default=4,
-                          help="worker threads (default 4)")
-    loadtest.add_argument("--duration", type=float, default=2.0,
-                          help="measurement window in seconds (default 2)")
-    loadtest.add_argument("--max-queue", type=int, default=64,
-                          dest="max_queue",
-                          help="bounded request queue size (default 64)")
-    loadtest.add_argument("--max-inflight", type=int, default=8,
-                          dest="max_inflight",
-                          help="per-tenant in-flight cap (default 8)")
-    loadtest.add_argument("--memory", type=int, default=300,
-                          help="fitting memory budget M in points")
-    loadtest.add_argument("--method", default="warm",
-                          choices=("warm", "mini", "cutoff", "resampled"))
-    loadtest.add_argument("--seed", type=int, default=0)
-    loadtest.add_argument("--coalesce", action=argparse.BooleanOptionalAction,
-                          default=False,
-                          help="coalesce compatible queued warm requests "
-                               "into fused kernel batches (default off so "
-                               "the measurement matches the committed "
-                               "baseline; responses are bit-identical "
-                               "either way)")
-    loadtest.add_argument("--coalesce-window-ms", type=float, default=2.0,
-                          dest="coalesce_window_ms",
-                          help="how long a worker lingers on the queue to "
-                               "grow a batch once it holds a request "
-                               "(default 2.0)")
-    loadtest.add_argument("--burst", type=int, default=1,
-                          help="pipelined submissions per client iteration "
-                               "(clamped to --max-inflight); >1 creates "
-                               "queue depth for the coalescer to find "
-                               "(default 1)")
-    loadtest.add_argument("--artifact-dir", default=None,
-                          dest="artifact_dir",
-                          help="warm-start artifact directory")
-    loadtest.add_argument("--output", default=None,
-                          help="write the result as JSON "
-                               "(e.g. BENCH_service.json)")
-    loadtest.add_argument("--replicas", type=int, default=0,
-                          help="measure a routed cluster of N replicas "
-                               "against an equal-worker single service "
-                               "instead (--workers then counts per "
-                               "replica; a mid-window kill/restart of "
-                               "shard 0's primary populates the "
-                               "failover percentiles)")
-    loadtest.add_argument("--shards", type=int, default=2,
-                          help="similarity shards with --replicas "
-                               "(default 2)")
-    loadtest.add_argument("--replication", type=int, default=2,
-                          help="owners per shard with --replicas "
-                               "(default 2)")
-    loadtest.set_defaults(run=_cmd_loadtest)
 
     cluster = commands.add_parser(
         "cluster",

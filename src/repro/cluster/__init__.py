@@ -12,14 +12,6 @@ from .chaos import (
 from .cluster import ClusterPrediction, PredictionCluster
 from .controller import TopologyController
 from .elasticity import DriftDetector, DriftProposal, TopologyManager
-from .loadtest import (
-    ClusterLoadTestResult,
-    ControllerLoadTestResult,
-    ElasticityLoadTestResult,
-    run_cluster_loadtest,
-    run_controller_loadtest,
-    run_elasticity_loadtest,
-)
 from .partition import WorkloadPartition, partition_workload
 from .replicas import Replica, shard_tenant
 from .routing import ClusterResponse, Router, RoutingTable
@@ -28,13 +20,10 @@ from .tuning import ShardConfig, tune_shard
 __all__ = [
     "ClusterChaosOutcome",
     "ClusterChaosScenario",
-    "ClusterLoadTestResult",
     "ClusterPrediction",
     "ClusterResponse",
-    "ControllerLoadTestResult",
     "DriftDetector",
     "DriftProposal",
-    "ElasticityLoadTestResult",
     "PredictionCluster",
     "Replica",
     "Router",
@@ -46,9 +35,6 @@ __all__ = [
     "assert_cluster_invariant",
     "partition_workload",
     "run_cluster_chaos",
-    "run_cluster_loadtest",
-    "run_controller_loadtest",
-    "run_elasticity_loadtest",
     "shard_tenant",
     "tune_shard",
 ]

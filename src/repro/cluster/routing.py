@@ -495,8 +495,7 @@ class Router:
         """Legs submitted but not yet resolved.
 
         The controller's tick records this gauge so a surgery decision
-        is attributable to the load it was made under, and load tests
-        report it at window edges.
+        is attributable to the load it was made under.
         """
         with self._lock:
             return sum(1 for leg in self._outstanding if not leg.done())

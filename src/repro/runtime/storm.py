@@ -1,27 +1,19 @@
-"""The mechanisms the service and cluster storm harnesses share: one
-response classifier and N-way book reconciler (:class:`StormOutcome`)
-and one closed-loop load runner (:class:`ClosedLoop`).
+"""The mechanism the service and cluster storm harnesses share: one
+response classifier and N-way book reconciler (:class:`StormOutcome`).
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterable
+from typing import ClassVar
 
 import numpy as np
 
-__all__ = ["HANG_TIMEOUT_S", "RESOLVED", "ClosedLoop", "StormOutcome",
-           "percentiles", "record_of"]
+__all__ = ["HANG_TIMEOUT_S", "StormOutcome"]
 
 #: how long any one response may take before a storm calls it hung
 HANG_TIMEOUT_S = 30.0
-
-#: the statuses a request resolves to; anything else a client records
-#: (an admission refusal, say) is counted but is not a resolved request
-RESOLVED = frozenset({"ok", "failover", "degraded", "error"})
 
 
 @dataclass(kw_only=True)
@@ -116,107 +108,3 @@ class StormOutcome:
                 str(k): v for k, v in self.reconciliation.items()
             },
         }
-
-
-def record_of(response) -> tuple[float, float, str]:
-    """A just-received response as a :class:`ClosedLoop` record, timed
-    by its own ``latency_s``; one served by a non-primary is
-    ``failover``."""
-    now = time.monotonic()
-    status = response.status
-    if status == "ok" and getattr(response, "failover_from", None):
-        status = "failover"
-    return (now - response.latency_s, now, status)
-
-
-def percentiles(latencies_s: Iterable[float]) -> dict:
-    """p50/p95/p99/mean/max of a latency list, in milliseconds."""
-    ms = np.asarray(list(latencies_s), dtype=float) * 1e3
-    if not ms.size:
-        return dict.fromkeys(("p50", "p95", "p99", "mean", "max"), 0.0)
-    stats = {f"p{q}": np.percentile(ms, q) for q in (50, 95, 99)}
-    stats.update(mean=ms.mean(), max=ms.max())
-    return {key: round(float(value), 3) for key, value in stats.items()}
-
-
-class ClosedLoop:
-    """Closed-loop clients and one optional operator over a fixed window.
-
-    :meth:`run` calls each client again and again until the window
-    closes; a call returns the records of the requests it made, or
-    ``None`` to retire early.  The operator runs once in its own thread
-    and sets marks with :meth:`mark`; ``run`` sets ``start`` and
-    ``end`` itself and re-raises the first client or operator
-    exception after every thread has joined.
-    """
-
-    def __init__(self) -> None:
-        #: one (t_start, t_end, status) per request
-        self.records: list[tuple[float, float, str]] = []
-        self.marks: dict[str, float] = {}
-        self._lock = threading.Lock()
-
-    def mark(self, name: str) -> float:
-        self.marks[name] = now = time.monotonic()
-        return now
-
-    def run(self, clients, duration_s: float, operator=None) -> ClosedLoop:
-        stop_at = self.mark("start") + duration_s
-        failures: list[BaseException] = []
-
-        def client(step) -> None:
-            while time.monotonic() < stop_at and (
-                    records := step()) is not None:
-                with self._lock:
-                    self.records.extend(records)
-
-        def guarded(target, *args) -> None:
-            try:
-                target(*args)
-            except BaseException as error:  # re-raised below, after join
-                failures.append(error)
-
-        jobs = [(client, step) for step in clients]
-        if operator is not None:
-            jobs.append((operator,))
-        threads = [threading.Thread(target=guarded, args=job, daemon=True)
-                   for job in jobs]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        self.marks["end"] = max(
-            (end for _, end, _ in self.records), default=time.monotonic()
-        )
-        if failures:
-            raise failures[0]
-        return self
-
-    def counts(self) -> Counter:
-        """Records per status over the whole run."""
-        return Counter(status for _, _, status in self.records)
-
-    def window(self, start: str, end: str) -> dict:
-        """Summary of the requests wholly between two marks."""
-        lo, hi = self.marks[start], self.marks[end]
-        return _summary(
-            [r for r in self.records if r[0] >= lo and r[1] <= hi], hi - lo
-        )
-
-    def straddling(self, start: str, end: str) -> dict:
-        """Summary of the requests in flight at any time between two
-        marks -- the ones a fence between them must absorb."""
-        lo, hi = self.marks[start], self.marks[end]
-        return _summary(
-            [r for r in self.records if r[1] > lo and r[0] < hi], hi - lo
-        )
-
-
-def _summary(records: list, span_s: float) -> dict:
-    resolved = [r for r in records if r[2] in RESOLVED]
-    return {
-        "resolved": len(resolved),
-        "errors": sum(1 for r in resolved if r[2] == "error"),
-        "throughput_rps": round(len(resolved) / max(span_s, 1e-9), 1),
-        "latency_ms": percentiles(end - start for start, end, _ in resolved),
-    }

@@ -29,9 +29,6 @@ the degradation chain) intact under contention.  The pieces:
     corruption, slow tenants, and disk faults mid-request and assert
     the invariant that every request terminates bit-identical,
     degraded-with-record, or with a typed error -- never hung.
-:mod:`repro.service.loadtest`
-    sustained-throughput and tail-latency measurement; the committed
-    ``BENCH_service.json`` comes from here.
 """
 
 from .artifacts import (
@@ -48,7 +45,6 @@ from .chaos import (
     assert_service_invariant,
     run_service_chaos,
 )
-from .loadtest import LoadTestResult, run_loadtest
 from .server import (
     PendingPrediction,
     PredictionService,
@@ -74,6 +70,4 @@ __all__ = [
     "ServiceChaosScenario",
     "assert_service_invariant",
     "run_service_chaos",
-    "LoadTestResult",
-    "run_loadtest",
 ]

@@ -207,7 +207,7 @@ class PredictionService:
     serving and every member settles its own tenant ledger, so the
     chaos reconciliation invariant holds with the knob on or off; it
     defaults off (the identity configuration) and the serving entry
-    points (CLI ``serve``/``loadtest``, the cluster's replicas) opt in.
+    points (CLI ``serve``, the cluster's replicas) opt in.
     """
 
     def __init__(

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import validate_points
 from ..kernels.batched import memory_cap_from_env
 from ..kernels.geometry import ordered_sum_sq
 
@@ -330,8 +331,13 @@ def density_biased_knn_workload(
     k: int,
     rng: np.random.Generator,
 ) -> KNNWorkload:
-    """The paper's workload: query points sampled from the data itself."""
-    points = np.asarray(points, dtype=np.float64)
+    """The paper's workload: query points sampled from the data itself.
+
+    Rejects NaN/inf coordinates anywhere in ``points`` with
+    :class:`~repro.errors.InputValidationError`, not only in the rows
+    drawn as queries: a non-finite neighbour poisons the radii too.
+    """
+    points = validate_points(points)
     if n_queries < 1:
         raise ValueError("n_queries must be >= 1")
     replace = n_queries > points.shape[0]
@@ -347,8 +353,13 @@ def density_biased_range_workload(
     side: float | np.ndarray,
     rng: np.random.Generator,
 ) -> RangeWorkload:
-    """Box queries of a fixed side length centered on dataset points."""
-    points = np.asarray(points, dtype=np.float64)
+    """Box queries of a fixed side length centered on dataset points.
+
+    Rejects NaN/inf coordinates with
+    :class:`~repro.errors.InputValidationError`, as the k-NN builder
+    does.
+    """
+    points = validate_points(points)
     if n_queries < 1:
         raise ValueError("n_queries must be >= 1")
     side = np.broadcast_to(np.asarray(side, dtype=np.float64), (points.shape[1],))

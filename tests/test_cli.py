@@ -332,14 +332,6 @@ class TestClusterCommand:
         assert args.chaos is True
         assert args.double_kill is True
 
-    def test_parser_accepts_loadtest_replicas(self):
-        args = build_parser().parse_args(
-            ["loadtest", "--replicas", "3", "--shards", "2",
-             "--duration", "0.5"]
-        )
-        assert args.replicas == 3
-        assert args.shards == 2
-
     def test_cluster_demo_walkthrough(self, capsys):
         assert main(
             ["cluster", "--scale", "0.005", "--queries", "8",

@@ -12,12 +12,13 @@ interfaces.
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.cluster import PredictionCluster
+from repro.cluster import PredictionCluster, shard_tenant
 from repro.cluster.controller import TopologyController
 from repro.errors import BudgetExceededError, InputValidationError
 from repro.workload.queries import density_biased_knn_workload
@@ -404,6 +405,21 @@ def test_real_cluster_controller_merges_over_partition(
         )
         assert cluster.request(merged, workload).status == "ok"
         assert cluster.metrics()["controller"]["epoch"] == 5
+        # the merged model is fitted once and every other owner adopts
+        # its bytes; no replica rebuilds anything
+        live = [replica for replica in cluster.replicas.values()
+                if not replica.down and replica.service is not None]
+        assert [r.service.store.rebuilds() for r in live] == [0] * len(live)
+        merged_events = Counter(
+            outcome for replica in live
+            for key, outcome, _ in replica.service.store.events
+            if key == shard_tenant(merged)
+        )
+        owners = cluster.router.table.owners_of(merged)
+        assert merged_events["miss"] == 1
+        assert merged_events["adopted"] == len(owners) - 1 > 0
+        assert cluster.router.unavailable == 0
+        assert cluster.router.stale_rejections == 0
     finally:
         cluster.stop()
 

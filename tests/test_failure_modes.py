@@ -36,7 +36,11 @@ from repro.ondisk.builder import OnDiskBuilder
 from repro.ondisk.measure import measure_knn
 from repro.rtree.rstar import RStarTree
 from repro.rtree.tree import RTree
-from repro.workload.queries import KNNWorkload, density_biased_knn_workload
+from repro.workload.queries import (
+    KNNWorkload,
+    density_biased_knn_workload,
+    density_biased_range_workload,
+)
 
 
 def fresh_file(points):
@@ -107,6 +111,23 @@ class TestHostileInputs:
         with pytest.raises(ValueError, match="finite"):
             density_biased_knn_workload(points, 50, 2,
                                         np.random.default_rng(0))
+
+    def test_undrawn_bad_row_rejected_by_workload(self):
+        # neither bad row is drawn as one of the 20 queries, so only an
+        # up-front check catches them
+        points = np.random.default_rng(0).random((500, 4))
+        points[7, 0] = np.inf
+        points[9, 2] = np.nan
+        with pytest.raises(InputValidationError, match="finite"):
+            density_biased_knn_workload(points, 20, 3,
+                                        np.random.default_rng(1))
+
+    def test_non_finite_rejected_by_range_workload(self):
+        points = np.ones((50, 2))
+        points[3, 1] = np.nan
+        with pytest.raises(InputValidationError, match="finite"):
+            density_biased_range_workload(points, 5, 0.1,
+                                          np.random.default_rng(0))
 
     def test_inf_coordinates_rejected_by_bulk_load(self):
         points = np.ones((100, 2))
