@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.predictor import IndexCostPredictor
-from ..core.topology import page_capacities
 from ..disk.accounting import DiskParameters, IOCost
 from ..kernels.geometry import LeafGeometry
 from ..kernels.registry import get_kernel
@@ -108,7 +107,6 @@ def sweep_index_dimensions(
     cell_deadline_s: float | None = None,
     max_workers: int = 4,
     kernel: str | None = None,
-    coalesce: bool = False,
 ) -> DimensionSweep:
     """Predict index page accesses for each candidate prefix length.
 
@@ -121,13 +119,6 @@ def sweep_index_dimensions(
     cells are reported with a non-``"ok"`` status instead of wedging
     the sweep.  Without either, cells run serially, bit-identical to
     the ungoverned behavior.
-
-    ``coalesce=True`` answers the measured curve through the fused
-    ``count_grid`` kernel entry point: every cell sharing a built
-    geometry becomes one row of a single grid dispatch, computed up
-    front, instead of a per-cell ``count_knn`` re-dispatch.  Rows are
-    bit-identical to the per-cell dispatch by the fused-grid contract,
-    so the knob only changes speed.
     """
     data = np.asarray(data, dtype=np.float64)
     disk = disk or DiskParameters()
@@ -138,30 +129,6 @@ def sweep_index_dimensions(
     # Distinct prefixes can still share (m, c_data): the measured tree's
     # cached geometry is reused across such cells.
     measured_geometry: dict[tuple[int, int], LeafGeometry] = {}
-
-    # Coalesced measured pre-pass: the reduced query matrix differs per
-    # prefix length, so only cells with the same ``m`` (and hence the
-    # same rounded capacities) can share a fused dispatch; each group
-    # still goes through count_grid so duplicate prefixes cost one scan.
-    fused_rows: dict[int, np.ndarray] = {}
-    if measure and coalesce:
-        by_key: dict[tuple[int, int, int], list[int]] = {}
-        for m in dimensions:
-            c_data, c_dir = page_capacities(
-                disk.page_bytes, m, bytes_per_value=disk.bytes_per_value
-            )
-            by_key.setdefault((m, c_data, c_dir), []).append(m)
-        for (m, c_data, c_dir), members in by_key.items():
-            projected = np.ascontiguousarray(data[:, :m])
-            reduced = _projected_workload(workload, m)
-            geometry = RTree.bulk_load(projected, c_data, c_dir).leaf_geometry
-            measured_geometry[(m, c_data)] = geometry
-            grid = np.tile(reduced.radii, (len(members), 1))
-            rows = get_kernel(kernel).count_grid(
-                geometry, reduced.queries, grid
-            )
-            for row, member in zip(rows, members):
-                fused_rows[member] = row
 
     def cell(m: int) -> DimensionPoint:
         projected = np.ascontiguousarray(data[:, :m])
@@ -176,19 +143,16 @@ def sweep_index_dimensions(
         measured_candidates: float | None = None
         predicted_candidates: float | None = None
         if measure:
-            if coalesce:
-                counts = fused_rows[m]
-            else:
-                key = (m, predictor.c_data)
-                geometry = measured_geometry.get(key)
-                if geometry is None:
-                    geometry = RTree.bulk_load(
-                        projected, predictor.c_data, predictor.c_dir
-                    ).leaf_geometry
-                    measured_geometry[key] = geometry
-                counts = get_kernel(kernel).count_knn(
-                    geometry, reduced_workload.queries, reduced_workload.radii
-                )
+            key = (m, predictor.c_data)
+            geometry = measured_geometry.get(key)
+            if geometry is None:
+                geometry = RTree.bulk_load(
+                    projected, predictor.c_data, predictor.c_dir
+                ).leaf_geometry
+                measured_geometry[key] = geometry
+            counts = get_kernel(kernel).count_knn(
+                geometry, reduced_workload.queries, reduced_workload.radii
+            )
             measured_accesses = float(np.mean(counts))
         if candidates:
             measured_candidates = float(

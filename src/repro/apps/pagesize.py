@@ -25,7 +25,6 @@ from ..core.predictor import IndexCostPredictor
 from ..disk.accounting import DiskParameters, IOCost
 from ..kernels.geometry import LeafGeometry
 from ..kernels.registry import get_kernel
-from ..core.topology import page_capacities
 from ..runtime.batch import BatchRunner, BatchTask
 from ..runtime.budget import Budget
 from ..rtree.tree import RTree
@@ -103,7 +102,6 @@ def sweep_page_sizes(
     cell_deadline_s: float | None = None,
     max_workers: int = 4,
     kernel: str | None = None,
-    coalesce: bool = False,
 ) -> PageSizeSweep:
     """Predict per-query I/O cost across candidate page sizes.
 
@@ -126,19 +124,11 @@ def sweep_page_sizes(
     ``kernel`` selects the counting backend for both the predictions and
     the measured curve; all kernels count identically, so it only
     changes the sweep's speed.
-
-    ``coalesce=True`` routes the measured curve through the fused
-    ``count_grid`` kernel entry point: cells sharing a built geometry
-    are answered as the rows of one (queries x radii) grid dispatch
-    instead of re-dispatching ``count_knn`` per cell.  The fused-grid
-    contract keeps every row bit-identical to the per-cell dispatch,
-    so the sweep's numbers cannot change -- off (the identity default)
-    and on differ only in speed.
     """
     data = np.asarray(data, dtype=np.float64)
     base_disk = base_disk or DiskParameters()
 
-    # Candidate page sizes frequently round to the same (c_data, c_dir)
+    # Candidate page sizes can round to the same (c_data, c_dir)
     # capacities; the measured path shares one built tree's cached leaf
     # geometry across those cells instead of rebuilding and restacking.
     # (LeafGeometry is immutable, so concurrent cells may share it; a
@@ -154,32 +144,6 @@ def sweep_page_sizes(
             geometry, workload.queries, workload.radii
         )
 
-    # The coalesced measured path: group the cells by the capacities
-    # their page size rounds to, build each distinct geometry once, and
-    # answer every member cell as one row of a single fused count_grid
-    # dispatch.  Computed up front -- the radius grid is known before
-    # any cell runs -- so both the serial and the governed sweep read
-    # from it.
-    fused_rows: dict[int, np.ndarray] = {}
-    if measure and coalesce:
-        by_caps: dict[tuple[int, int], list[int]] = {}
-        for page_bytes in page_sizes:
-            disk = base_disk.with_page_bytes(page_bytes)
-            caps = page_capacities(
-                disk.page_bytes, data.shape[1],
-                bytes_per_value=disk.bytes_per_value,
-            )
-            by_caps.setdefault(caps, []).append(page_bytes)
-        for (c_data, c_dir), members in by_caps.items():
-            geometry = RTree.bulk_load(data, c_data, c_dir).leaf_geometry
-            measured_geometry[(c_data, c_dir)] = geometry
-            grid = np.tile(workload.radii, (len(members), 1))
-            rows = get_kernel(kernel).count_grid(
-                geometry, workload.queries, grid
-            )
-            for row, page_bytes in zip(rows, members):
-                fused_rows[page_bytes] = row
-
     def cell(page_bytes: int) -> PageSizePoint:
         disk = base_disk.with_page_bytes(page_bytes)
         predictor = IndexCostPredictor(
@@ -190,10 +154,7 @@ def sweep_page_sizes(
         measured_accesses: float | None = None
         measured_seconds: float | None = None
         if measure:
-            if coalesce:
-                counts = fused_rows[page_bytes]
-            else:
-                counts = measured_counts(predictor.c_data, predictor.c_dir)
+            counts = measured_counts(predictor.c_data, predictor.c_dir)
             measured_accesses = float(np.mean(counts))
             measured_seconds = _query_seconds(measured_accesses, disk)
         return PageSizePoint(

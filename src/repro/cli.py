@@ -17,8 +17,8 @@ Thin wrappers over the library for the workflows the paper motivates:
                    quotas, backpressure) and print the per-tenant books
 ``cluster``        build a sharded, replicated prediction cluster
                    (similarity partition, per-shard page-size tuning,
-                   failure-aware routing), walk it through a kill /
-                   failover / heal cycle, or run the seeded chaos storm
+                   failure-aware routing) and print its shard table
+                   and one prediction, or run the seeded chaos storm
                    with ``--chaos``
 
 Data comes from a named synthetic analogue (``--dataset TEXTURE60
@@ -50,23 +50,9 @@ from .core.predictor import IndexCostPredictor
 from .data import datasets
 from .errors import (
     EXIT_CODES,
-    ArtifactCorruptError,
-    BudgetExceededError,
-    ChecksumError,
-    CrashPoint,
-    DeadlineExceededError,
-    DiskError,
-    InputValidationError,
-    PredictionError,
-    ReplicaUnavailableError,
     ReproError,
     ServiceOverloadedError,
-    StaleRoutingEpochError,
     TenantQuotaExceededError,
-    TornWriteError,
-    TransientReadError,
-    UnknownKernelError,
-    UnrecoverableCorruptionError,
     exit_code_for,
 )
 from .experiments.tables import format_signed_percent, format_table
@@ -103,10 +89,6 @@ def _render_exit_code_help() -> str:
 
 
 _EXIT_CODE_HELP = _render_exit_code_help()
-
-
-def _exit_code(error: ReproError) -> int:
-    return exit_code_for(error)
 
 
 def _version() -> str:
@@ -493,13 +475,11 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
     if args.chaos:
         if args.controller:
+            # the scenario tests/test_cluster_chaos.py runs
             scenario = ClusterChaosScenario(
                 seed=args.seed, double_kill=args.double_kill,
                 scale_events=args.scale_events,
-                n_shards=max(args.shards, 3), controller=True,
-                # the storm's kill/restart schedule assumes the merge
-                # fires within the first third of the rounds
-                controller_dwell=min(args.dwell_epochs, 3),
+                n_shards=3, controller=True, controller_dwell=2,
                 merge_when=2.5,
             )
         else:
@@ -532,7 +512,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             replication=min(args.replication, args.replicas),
             memory=args.memory, seed=args.seed,
             kernel=getattr(args, "kernel", None),
-            split_when=args.split_when, merge_when=args.merge_when,
         ) as cluster:
             table = cluster.router.table.as_dict()
             rows = []
@@ -556,102 +535,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             healthy = cluster.predict(workload)
             print(f"healthy: {healthy.per_query.size} queries, mean "
                   f"predicted accesses {healthy.mean_accesses:.2f}")
-
-            primary0 = cluster.router.table.owners_of(0)[0]
-            cluster.kill_replica(primary0)
-            killed = cluster.predict(workload)
-            shard0 = next(r for r in killed.responses if r.shard == 0)
-            identical = np.array_equal(killed.per_query,
-                                       healthy.per_query)
-            print(f"killed {primary0}: shard 0 served by "
-                  f"{shard0.served_by or shard0.method_used} "
-                  f"(status {shard0.status}, tried {shard0.tried}); "
-                  f"answers bit-identical: {identical}")
-            cluster.restart_replica(primary0)
-
-            cluster.corrupt_artifact(primary0, 0)
-            heal = cluster.anti_entropy()
-            print(f"corrupted {primary0}'s shard-0 artifact; "
-                  f"anti-entropy healed {heal[0]['healed']}, "
-                  f"data rebuild: {heal[0]['rebuilt']}")
-            recovered = cluster.predict(workload)
-            print(f"recovered: answers bit-identical: "
-                  f"{np.array_equal(recovered.per_query, healthy.per_query)}")
-
-            # --- elasticity walkthrough -------------------------------
-            scaled: list[str] = []
-            if args.scale_out:
-                pre_epoch = cluster.router.table.epoch
-                for _ in range(args.scale_out):
-                    report = cluster.add_replica()
-                    scaled.append(report["replica"])
-                    vias = {w["shard"]: w["via"] for w in report["warmed"]}
-                    print(f"scaled out {report['replica']} under epoch "
-                          f"{report['epoch']}: warmed {vias} "
-                          f"({report['refits']} refits)")
-                probe_shard = cluster.active_shards()[0]
-                probe = density_biased_knn_workload(
-                    cluster.shard_points[probe_shard], 4, args.k, rng
-                )
-                try:
-                    cluster.request(probe_shard, probe, epoch=pre_epoch)
-                    print("stale-epoch pin was NOT refused (bug)")
-                except StaleRoutingEpochError as stale:
-                    print(f"stale router refused with exit-19 class: "
-                          f"{stale}")
-                post_scale = cluster.predict(workload)
-                print(f"post-scale answers bit-identical: "
-                      f"{np.array_equal(post_scale.per_query, healthy.per_query)}")
-            candidates = cluster.topology.split_candidates()
-            print(f"split candidates at ratio {args.split_when:g}: "
-                  f"{candidates or 'none'}")
-            if candidates:
-                try:
-                    children = cluster.split_shard(candidates[0]["shard"])
-                except PredictionError as refused:
-                    # a sliver refusal is the split validating itself,
-                    # not a walkthrough failure -- topology unchanged
-                    print(f"split refused (topology unchanged): {refused}")
-                else:
-                    print(f"split shard {candidates[0]['shard']} -> "
-                          f"{list(children)} under epoch "
-                          f"{cluster.router.table.epoch}")
-                    post_split = cluster.predict(workload)
-                    print(f"post-split merged prediction complete: "
-                          f"{post_split.complete}")
-            if args.controller:
-                # deterministic ticks (no background thread): show the
-                # hysteresis gauntlet working the current proposals
-                controller = cluster.start_controller(
-                    autostart=False, dwell_epochs=args.dwell_epochs,
-                )
-                for _ in range(args.dwell_epochs + 2):
-                    record = controller.tick()
-                    detail = {k: v for k, v in record.items()
-                              if k in ("pair", "shard", "successors",
-                                       "ratio", "error")}
-                    print(f"controller tick {record['tick']}: "
-                          f"{record['action']}"
-                          f"{f' {detail}' if detail else ''}")
-                report = controller.report()
-                print(f"controller: {dict(report['counters'])}, "
-                      f"flaps {report['flaps']} (zero proves the "
-                      f"no-flap rule held), active shards "
-                      f"{cluster.active_shards()}")
-            if args.scale_in:
-                if not scaled:
-                    print("--scale-in: nothing was scaled out; skipping")
-                for name in reversed(scaled):
-                    report = cluster.remove_replica(name)
-                    print(f"scaled in {name} under epoch "
-                          f"{report['epoch']}: drained and folded "
-                          f"retired ops {report['retired_ops']}")
-            router = cluster.router.metrics()
-            print(f"router: {router['dispatches']} dispatches, "
-                  f"{router['failovers']} failovers, "
-                  f"{router['hedges']} hedges, "
-                  f"{router['degraded_served']} degraded, "
-                  f"{router['unavailable']} unavailable")
     return 0
 
 
@@ -788,8 +671,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     cluster = commands.add_parser(
         "cluster",
-        help="sharded replicated serving: kill/failover/heal walkthrough "
-             "or the seeded chaos storm (--chaos)",
+        help="sharded replicated serving: build the cluster and print "
+             "its shard table, or run the seeded chaos storm (--chaos)",
     )
     _add_data_arguments(cluster)
     cluster.add_argument("--queries", type=int, default=24,
@@ -827,46 +710,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "too (mid-storm scale-out with a corrupt "
                               "donor, kill during handoff, shard split, "
                               "stale-epoch probes, graceful scale-in)")
-    cluster.add_argument("--scale-out", type=int, default=0,
-                         dest="scale_out", metavar="N",
-                         help="walkthrough: scale out N extra replicas "
-                              "mid-demo, warmed from peer bytes behind "
-                              "the epoch fence")
-    cluster.add_argument("--scale-in", action="store_true",
-                         dest="scale_in",
-                         help="walkthrough: gracefully remove the "
-                              "scaled-out replicas again (drain, fold "
-                              "books, fence)")
-    cluster.add_argument("--split-when", type=float, default=3.0,
-                         dest="split_when", metavar="RATIO",
-                         help="split a shard when its tuned predicted "
-                              "cost exceeds RATIO x the sibling median "
-                              "(default 3.0); candidates are reported "
-                              "and the first one split in the "
-                              "walkthrough")
-    cluster.add_argument("--merge-when", type=float, default=1.5,
-                         dest="merge_when", metavar="RATIO",
-                         help="merge a sibling pair when their combined "
-                              "tuned cost stays under RATIO x the other "
-                              "siblings' median (default 1.5; must be "
-                              "below --split-when -- the gap is the "
-                              "anti-flap hysteresis band)")
     cluster.add_argument("--controller", action="store_true",
-                         help="walkthrough: attach the autonomous "
-                              "topology controller and drive "
-                              "deterministic ticks (re-tune > split > "
-                              "merge behind dwell/cool-down/no-flap "
-                              "hysteresis); with --chaos: run the "
-                              "controller storm instead (decaying load, "
-                              "kill and corruption mid-merge, topology "
-                              "must shrink with zero errors)")
-    cluster.add_argument("--dwell-epochs", type=int, default=3,
-                         dest="dwell_epochs", metavar="N",
-                         help="controller hysteresis: a merge pair must "
-                              "persist N consecutive ticks before it "
-                              "fires, and a surgery may not be inverted "
-                              "within N ticks of the shard's birth "
-                              "(default 3)")
+                         help="with --chaos: run the controller storm "
+                              "instead (3 shards, decaying load, kill "
+                              "and corruption mid-merge, topology must "
+                              "shrink with zero errors)")
     cluster.set_defaults(run=_cmd_cluster)
 
     costs = commands.add_parser("costs", help="analytical Eqs. 1-5")
@@ -887,7 +735,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # One-line diagnosis, never a raw traceback; the exit code
         # encodes the failure class for scripting.
         print(f"repro: {type(error).__name__}: {error}", file=sys.stderr)
-        return _exit_code(error)
+        return exit_code_for(error)
 
 
 if __name__ == "__main__":

@@ -651,7 +651,7 @@ class TopologyManager:
             cluster.replicas[name] = replica
             return self._fence(
                 {"op": "add_replica", "replica": name, "warmed": warmed,
-                 "refits": replica.service.store.rebuilds()},
+                 "refits": sum(w["via"] == "fit" for w in warmed)},
                 placed={shard: [name] for shard in shards},
             )
 

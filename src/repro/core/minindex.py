@@ -20,7 +20,6 @@ from ..rtree.tree import RTree
 from ..workload.queries import KNNWorkload, RangeWorkload
 from .compensation import grow_geometry
 from .counting import PredictionResult, count_accesses
-from .topology import Topology
 
 __all__ = ["MiniIndexModel"]
 
@@ -115,6 +114,3 @@ class MiniIndexModel:
             virtual_n=full_n,
             config=self.config,
         )
-
-    def topology_for(self, full_n: int) -> Topology:
-        return Topology(n_points=full_n, c_data=self.c_data, c_dir=self.c_dir)

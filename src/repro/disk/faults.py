@@ -164,11 +164,6 @@ class FaultInjector:
     def crashed(self) -> bool:
         return self._crashed
 
-    @property
-    def ops_issued(self) -> int:
-        """Charged operations issued to the device so far."""
-        return self._ops_issued
-
     def reboot(self, *, crash_at: int | None = None) -> None:
         """Bring a crashed injector back up.
 

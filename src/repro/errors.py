@@ -260,30 +260,22 @@ class PredictionError(ReproError):
 class UnknownKernelError(ReproError, ValueError):
     """A counting-kernel name did not resolve against the registry.
 
-    ``kernel`` is the rejected name, ``available`` the names that would
-    have resolved, and ``reason`` (when set) explains why a *known*
-    backend is unavailable in this environment -- e.g. one whose
-    optional dependency is not installed.  Raised eagerly by
+    ``kernel`` is the rejected name and ``available`` the names that
+    would have resolved.  Raised eagerly by
     :func:`repro.kernels.get_kernel` and by the facade's constructor so
     a typo fails before any I/O is spent; the CLI maps it to exit
     code 14.
     """
 
-    def __init__(self, kernel: str, *, available: tuple = (),
-                 reason: str | None = None):
+    def __init__(self, kernel: str, *, available: tuple = ()):
         self.kernel = kernel
         self.available = tuple(available)
-        self.reason = reason
         super().__init__(kernel)
 
     def __str__(self) -> str:
         options = ", ".join(self.available) if self.available else "none"
-        message = (f"unknown counting kernel {self.kernel!r}; "
-                   f"registered kernels: {options}")
-        if self.reason:
-            message += (f" ({self.kernel!r} is a known backend but is "
-                        f"unavailable here: {self.reason})")
-        return message
+        return (f"unknown counting kernel {self.kernel!r}; "
+                f"registered kernels: {options}")
 
 
 class BudgetExceededError(ReproError):

@@ -22,7 +22,7 @@ Every kernel also exposes the fused ``count_grid`` entry point -- one
 geometry pass answering a whole (queries x radii) grid -- and
 :class:`BatchPlan` describes a fused multi-request dispatch (member
 segments plus the exact charged-op attribution split), the vocabulary
-the service coalescer and the ``apps/`` sweeps share.
+of the service coalescer.
 """
 
 from .batch import BatchPlan, as_radii_grid
@@ -30,13 +30,11 @@ from .geometry import LeafGeometry
 from .registry import (
     DEFAULT_KERNEL,
     KERNEL_ENV_VAR,
-    PREFERRED_KERNEL,
     CountingKernel,
     available_kernels,
     default_kernel_name,
     get_kernel,
     register_kernel,
-    register_unavailable,
 )
 
 # Importing the backend modules registers them; reference first so the
@@ -49,7 +47,6 @@ __all__ = [
     "DEFAULT_MEMORY_CAP_BYTES",
     "KERNEL_ENV_VAR",
     "MEMORY_CAP_ENV_VAR",
-    "PREFERRED_KERNEL",
     "BatchPlan",
     "CountingKernel",
     "LeafGeometry",
@@ -60,5 +57,4 @@ __all__ = [
     "default_kernel_name",
     "get_kernel",
     "register_kernel",
-    "register_unavailable",
 ]

@@ -4,8 +4,8 @@ The batched execution plane fuses many logical counting requests into
 one kernel dispatch.  Two shapes of fusion exist:
 
 * a **radius grid** -- the *same* query centers probed at ``g``
-  different radius rows (``count_grid``), the shape the ``apps/``
-  sweeps produce when they re-measure one geometry per grid cell; and
+  different radius rows (``count_grid``), the shape
+  ``IndexCostPredictor.predict_radius_grid`` answers; and
 * a **concatenated batch** -- several requests' centers stacked into
   one workload (the service coalescer), carved back apart afterwards.
 
@@ -13,8 +13,7 @@ one kernel dispatch.  Two shapes of fusion exist:
 member labels, their query segments inside the fused arrays, and the
 exact split of both the fused answer and any charged-op total back to
 the members.  It is deliberately dumb -- pure bookkeeping, no kernel
-calls -- so the coalescer, the cluster, and the sweeps can all share
-it and the attribution arithmetic is testable in isolation.
+calls -- so the attribution arithmetic is testable in isolation.
 """
 
 from __future__ import annotations

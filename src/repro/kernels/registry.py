@@ -9,11 +9,9 @@ property tests), so selecting one is purely a performance decision and
 no paper result can change with the selection.
 
 Selection order: an explicit name beats the ``REPRO_KERNEL``
-environment variable beats the preferred default (``numpy_batched``).
+environment variable beats the default (``numpy_batched``).
 Unknown names raise the typed :class:`~repro.errors.UnknownKernelError`
--- eagerly, so a typo fails before any I/O is spent.  A backend whose
-dependency is missing can register itself as *unavailable* with a
-reason, which the error message surfaces.
+-- eagerly, so a typo fails before any I/O is spent.
 """
 
 from __future__ import annotations
@@ -31,21 +29,15 @@ __all__ = [
     "CountingKernel",
     "DEFAULT_KERNEL",
     "KERNEL_ENV_VAR",
-    "PREFERRED_KERNEL",
     "available_kernels",
     "default_kernel_name",
     "get_kernel",
     "register_kernel",
-    "register_unavailable",
 ]
 
 #: the kernel an unqualified lookup resolves to when no name or
 #: ``REPRO_KERNEL`` chooses
 DEFAULT_KERNEL = "numpy_batched"
-
-#: the top of the selection ladder below an explicit name and
-#: ``REPRO_KERNEL``; the same backend as ``DEFAULT_KERNEL``
-PREFERRED_KERNEL = DEFAULT_KERNEL
 
 #: environment variable consulted when no explicit name is given (this
 #: is what the CI kernel matrix sets to run the whole suite per backend)
@@ -91,7 +83,6 @@ class CountingKernel(Protocol):
 
 
 _factories: dict[str, Callable[[], CountingKernel]] = {}
-_unavailable: dict[str, str] = {}
 _instances: dict[str, CountingKernel] = {}
 _lock = threading.Lock()
 
@@ -100,15 +91,7 @@ def register_kernel(name: str, factory: Callable[[], CountingKernel]) -> None:
     """Register a kernel backend under ``name`` (idempotent by name)."""
     with _lock:
         _factories[name] = factory
-        _unavailable.pop(name, None)
         _instances.pop(name, None)
-
-
-def register_unavailable(name: str, reason: str) -> None:
-    """Record a known backend that cannot run in this environment."""
-    with _lock:
-        if name not in _factories:
-            _unavailable[name] = reason
 
 
 def available_kernels() -> tuple[str, ...]:
@@ -120,9 +103,9 @@ def available_kernels() -> tuple[str, ...]:
 def default_kernel_name() -> str:
     """The name an unqualified :func:`get_kernel` call resolves to.
 
-    ``REPRO_KERNEL`` wins when set; otherwise ``PREFERRED_KERNEL``.
+    ``REPRO_KERNEL`` wins when set; otherwise ``DEFAULT_KERNEL``.
     """
-    return os.environ.get(KERNEL_ENV_VAR) or PREFERRED_KERNEL
+    return os.environ.get(KERNEL_ENV_VAR) or DEFAULT_KERNEL
 
 
 def get_kernel(name: str | None = None) -> CountingKernel:
@@ -131,8 +114,7 @@ def get_kernel(name: str | None = None) -> CountingKernel:
     Instances are cached per name: kernels are stateless beyond their
     configuration, so one instance serves every predictor.  Raises
     :class:`~repro.errors.UnknownKernelError` for names that are not
-    registered, with the reason attached when the backend is known but
-    unavailable (e.g. a missing dependency).
+    registered.
     """
     resolved = name if name is not None else default_kernel_name()
     with _lock:
@@ -142,9 +124,7 @@ def get_kernel(name: str | None = None) -> CountingKernel:
         factory = _factories.get(resolved)
         if factory is None:
             raise UnknownKernelError(
-                resolved,
-                available=tuple(sorted(_factories)),
-                reason=_unavailable.get(resolved),
+                resolved, available=tuple(sorted(_factories))
             )
         instance = factory()
         _instances[resolved] = instance

@@ -104,12 +104,6 @@ class TreeQueries:
         for name in ("leaves", "leaf_geometry"):
             self.__dict__.pop(name, None)
 
-    def leaf_stats(self, capacity: int) -> "LeafStatistics":
-        """Aggregate leaf-page statistics from the cached geometry."""
-        from .stats import leaf_statistics_from_geometry
-
-        return leaf_statistics_from_geometry(self.leaf_geometry, capacity)
-
     def nodes_at_level(self, level: int) -> list[Node]:
         nodes: list[Node] = []
         stack = [self.root]

@@ -204,13 +204,6 @@ class Governor:
                 raise error
             self.sample_bytes += nbytes
 
-    def release_sample(self, n_points: int, dim: int) -> None:
-        """Return admitted sample bytes (an attempt's sample was freed)."""
-        with self._lock:
-            self.sample_bytes = max(
-                0, self.sample_bytes - n_points * dim * 8
-            )
-
     def end_attempt(self) -> None:
         """Fold the current attempt's spend into the cross-attempt total.
 

@@ -42,11 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..core.counting import (
-    PredictionResult,
-    count_accesses,
-    count_grid_accesses,
-)
+from ..core.counting import PredictionResult, count_accesses
 from ..core.minindex import MiniIndexModel
 from ..errors import ArtifactCorruptError, InputValidationError
 from ..kernels.batch import BatchPlan
@@ -168,39 +164,6 @@ class FittedModel:
         return [
             PredictionResult(per_query=part, detail=dict(detail))
             for part in plan.split(fused)
-        ]
-
-    def predict_grid(
-        self,
-        workload: KNNWorkload,
-        radii_grid: np.ndarray,
-        *,
-        kernel: str | None = None,
-    ) -> list[PredictionResult]:
-        """Probe the fitted geometry at many radius rows, fused.
-
-        One ``count_grid`` dispatch answers every row of ``radii_grid``
-        (``(g, q)`` per-query radii or ``(g,)`` constant rows); result
-        ``r``'s ``per_query`` is bit-identical to
-        ``predict(workload.with_radii(radii_grid[r]))``.
-        """
-        backend = kernel if kernel is not None else self.meta.get("kernel")
-        grid = count_grid_accesses(
-            self.geometry, workload, radii_grid, kernel=backend
-        )
-        name = get_kernel(backend).name
-        return [
-            PredictionResult(
-                per_query=grid[r],
-                detail={
-                    "warm": True,
-                    "n_mini_leaves": self.geometry.k,
-                    "kernel": name,
-                    "grid_row": r,
-                    "grid_rows": grid.shape[0],
-                },
-            )
-            for r in range(grid.shape[0])
         ]
 
 

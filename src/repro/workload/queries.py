@@ -254,7 +254,20 @@ def exact_knn_radii(
     ``(q.q + p.p) - 2 (q.p)``, clamped at zero, computed by the same
     BLAS kernel as in one whole-matrix product, so the radii do not
     depend on ``chunk_rows``.
+
+    Rejects NaN/inf coordinates in ``points`` or ``queries`` with
+    :class:`~repro.errors.InputValidationError`: one non-finite point
+    poisons every radius it is compared against.
     """
+    points = validate_points(points)
+    queries = validate_points(np.atleast_2d(queries), name="queries")
+    return _knn_radii(points, queries, k, chunk_rows)
+
+
+def _knn_radii(
+    points: np.ndarray, queries: np.ndarray, k: int, chunk_rows: int = 65536
+) -> np.ndarray:
+    """:func:`exact_knn_radii` on inputs the caller has validated."""
     points, queries = _as_knn_inputs(points, queries, k)
     kth, _ = _knn_scan(points, queries, k, None, chunk_rows)
     return np.sqrt(kth)
@@ -343,7 +356,7 @@ def density_biased_knn_workload(
     replace = n_queries > points.shape[0]
     query_ids = rng.choice(points.shape[0], size=n_queries, replace=replace)
     queries = points[query_ids]
-    radii = exact_knn_radii(points, queries, k)
+    radii = _knn_radii(points, queries, k)
     return KNNWorkload(k=k, query_ids=query_ids, queries=queries, radii=radii)
 
 

@@ -119,32 +119,19 @@ class TestDimensionSweep:
 
 
 class TestCoalescedSweeps:
-    """``coalesce=True`` routes the measured curves through the fused
-    ``count_grid`` dispatch; the sweeps must come back bit-identical."""
-
-    def test_page_size_sweep_identical(self, small_data, workload):
-        kwargs = dict(
-            memory=500, page_sizes=(4096, 8192, 32768), measure=True,
-            method="mini",
-        )
-        base = sweep_page_sizes(small_data, workload, **kwargs)
-        fused = sweep_page_sizes(small_data, workload, coalesce=True,
-                                 **kwargs)
-        assert base.points == fused.points
-
-    def test_dimension_sweep_identical(self, small_data, workload):
-        kwargs = dict(memory=500, measure=True, method="mini")
-        base = sweep_index_dimensions(small_data, workload, (4, 24),
-                                      **kwargs)
-        fused = sweep_index_dimensions(small_data, workload, (4, 24),
-                                       coalesce=True, **kwargs)
-        assert base.points == fused.points
+    """A governed measured sweep answers every cell through the same
+    per-cell ``count_knn`` dispatch as the serial sweep."""
 
     def test_governed_sweep_reads_fused_rows(self, small_data, workload):
-        fused = sweep_page_sizes(
-            small_data, workload, memory=500,
-            page_sizes=(4096, 8192), measure=True, method="mini",
-            coalesce=True, cell_deadline_s=60.0,
+        kwargs = dict(
+            memory=500, page_sizes=(4096, 8192), measure=True,
+            method="mini",
         )
-        assert all(p.status == "ok" for p in fused.points)
-        assert all(p.measured_accesses is not None for p in fused.points)
+        serial = sweep_page_sizes(small_data, workload, **kwargs)
+        governed = sweep_page_sizes(small_data, workload,
+                                    cell_deadline_s=60.0, **kwargs)
+        assert all(p.status == "ok" for p in governed.points)
+        assert [p.measured_accesses for p in governed.points] == [
+            p.measured_accesses for p in serial.points
+        ]
+        assert all(p.measured_accesses is not None for p in governed.points)

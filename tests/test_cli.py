@@ -148,19 +148,20 @@ class TestExitCodeTable:
             assert code == expected
 
     def test_cli_resolver_delegates_to_the_table(self):
-        from repro.cli import _exit_code
+        from repro import cli
         from repro.errors import (
             EXIT_CODES,
             CircuitOpenError,
             exit_code_for,
         )
 
+        assert cli.exit_code_for is exit_code_for
         for cls, code, _description in EXIT_CODES:
             error = cls.__new__(cls)
-            assert _exit_code(error) == exit_code_for(error) == code
+            assert exit_code_for(error) == code
         # the breaker has no row of its own: it resolves via DiskError
         breaker = CircuitOpenError.__new__(CircuitOpenError)
-        assert _exit_code(breaker) == 6
+        assert exit_code_for(breaker) == 6
 
     def test_help_epilog_is_generated_from_the_table(self):
         from repro.cli import _EXIT_CODE_HELP
@@ -339,67 +340,87 @@ class TestClusterCommand:
         ) == 0
         out = capsys.readouterr().out
         assert "owners (cheapest first)" in out
-        assert "answers bit-identical: True" in out
-        assert "anti-entropy healed" in out
-        assert "data rebuild: None" in out
+        assert "healthy: 8 queries, mean predicted accesses" in out
 
     def test_replica_unavailable_maps_to_18(self):
-        from repro.cli import _exit_code
-        from repro.errors import ReplicaUnavailableError
+        from repro.errors import ReplicaUnavailableError, exit_code_for
 
         error = ReplicaUnavailableError(0, [("replica-0", "down")])
-        assert _exit_code(error) == 18
+        assert exit_code_for(error) == 18
 
     def test_parser_accepts_elasticity_flags(self):
         args = build_parser().parse_args(
-            ["cluster", "--scale-out", "2", "--scale-in",
-             "--split-when", "2.5", "--chaos", "--scale-events"]
+            ["cluster", "--chaos", "--scale-events"]
         )
-        assert args.scale_out == 2
-        assert args.scale_in is True
-        assert args.split_when == 2.5
         assert args.scale_events is True
 
     def test_stale_routing_epoch_maps_to_19(self):
-        from repro.cli import _exit_code
-        from repro.errors import StaleRoutingEpochError
+        from repro.errors import StaleRoutingEpochError, exit_code_for
 
         error = StaleRoutingEpochError(0, 1, 2)
-        assert _exit_code(error) == 19
+        assert exit_code_for(error) == 19
 
     def test_parser_accepts_controller_flags(self):
-        args = build_parser().parse_args(
-            ["cluster", "--controller", "--merge-when", "2.5",
-             "--dwell-epochs", "2"]
-        )
+        args = build_parser().parse_args(["cluster", "--chaos",
+                                          "--controller"])
         assert args.controller is True
-        assert args.merge_when == 2.5
-        assert args.dwell_epochs == 2
-        # and the defaults keep the hysteresis band open
-        defaults = build_parser().parse_args(["cluster"])
-        assert defaults.merge_when < defaults.split_when
+        assert build_parser().parse_args(["cluster"]).controller is False
 
-    def test_cluster_walkthrough_covers_controller(self, capsys):
-        assert main(
-            ["cluster", "--scale", "0.005", "--queries", "8",
-             "--memory", "200", "--shards", "3",
-             "--controller", "--merge-when", "2.5",
-             "--dwell-epochs", "2"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "controller tick 1:" in out
-        assert "flaps 0" in out
 
-    def test_cluster_walkthrough_covers_elasticity(self, capsys):
-        assert main(
-            ["cluster", "--scale", "0.005", "--queries", "8",
-             "--memory", "200", "--scale-out", "1", "--scale-in"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "scaled out replica-" in out
-        assert "0 refits" in out
-        assert "stale router refused with exit-19 class" in out
-        assert "scaled in replica-" in out
+class TestClusterChaosExitCodes:
+    """``cluster --chaos`` exits 0 when the storm's invariant holds and
+    1 when it is violated; the storm itself is stubbed out here (the
+    real storms run in tests/test_cluster_chaos.py)."""
+
+    @staticmethod
+    def _stub_storm(monkeypatch, violations=()):
+        from repro import cli
+        from repro.cluster import ClusterChaosOutcome
+
+        scenarios = []
+
+        def fake_run(scenario, *, artifact_root):
+            scenarios.append(scenario)
+            outcome = ClusterChaosOutcome(scenario=scenario)
+            outcome.violations.extend(violations)
+            if scenario.controller:
+                outcome.stale_rejections = 1
+                outcome.controller.update(
+                    shards_start=3, shards_end=2,
+                    counters={"merge": 1}, flaps=0,
+                )
+            return outcome
+
+        monkeypatch.setattr(cli, "run_cluster_chaos", fake_run)
+        return scenarios
+
+    def test_clean_storm_exits_0(self, monkeypatch, capsys):
+        scenarios = self._stub_storm(monkeypatch)
+        assert main(["cluster", "--chaos", "--seed", "4"]) == 0
+        captured = capsys.readouterr()
+        assert "cluster invariant holds" in captured.out
+        assert scenarios[0].seed == 4
+        assert scenarios[0].controller is False
+
+    def test_violated_storm_exits_1(self, monkeypatch, capsys):
+        self._stub_storm(monkeypatch, violations=["lost a response"])
+        assert main(["cluster", "--chaos"]) == 1
+        captured = capsys.readouterr()
+        assert "cluster invariant violated" in captured.err
+        assert "lost a response" in captured.err
+        assert "cluster invariant holds" not in captured.out
+
+    def test_controller_storm_is_the_tested_scenario(self, monkeypatch):
+        from repro.cluster import ClusterChaosScenario
+
+        scenarios = self._stub_storm(monkeypatch)
+        assert main(["cluster", "--chaos", "--controller",
+                     "--seed", "2"]) == 0
+        # the configuration test_cluster_chaos.py's controller storm runs
+        assert scenarios[0] == ClusterChaosScenario(
+            seed=2, n_shards=3, controller=True, controller_dwell=2,
+            merge_when=2.5,
+        )
 
 
 class TestServeInterrupt:

@@ -197,6 +197,17 @@ class TestScaleOut:
         assert warmed[0] == f"peer:{peer}"
         assert report["refits"] == 0
 
+    def test_refits_count_fresh_fits(self, cluster):
+        """With no verified donor the new replica fits shard 0 from
+        data, and the report counts that fit as a refit."""
+        for owner in cluster.router.table.owners_of(0):
+            cluster.corrupt_artifact(owner, 0)
+        report = cluster.add_replica()
+        warmed = {w["shard"]: w["via"] for w in report["warmed"]}
+        assert warmed[0] == "fit"
+        assert warmed[1].startswith("peer:")
+        assert report["refits"] == 1
+
     def test_duplicate_name_refused(self, cluster):
         with pytest.raises(InputValidationError, match="already"):
             cluster.add_replica("replica-0")

@@ -40,6 +40,7 @@ from repro.workload.queries import (
     KNNWorkload,
     density_biased_knn_workload,
     density_biased_range_workload,
+    exact_knn_radii,
 )
 
 
@@ -128,6 +129,20 @@ class TestHostileInputs:
         with pytest.raises(InputValidationError, match="finite"):
             density_biased_range_workload(points, 5, 0.1,
                                           np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bad", ["points", "query"])
+    def test_non_finite_rejected_by_exact_radii(self, bad):
+        # "points": an inf and a NaN in rows the five queries are
+        # compared against, not in the queries themselves
+        points = np.random.default_rng(0).random((500, 4))
+        queries = points[20:25].copy()
+        if bad == "points":
+            points[7, 0] = np.inf
+            points[9, 2] = np.nan
+        else:
+            queries[2, 1] = np.nan
+        with pytest.raises(InputValidationError, match="finite"):
+            exact_knn_radii(points, queries, 3)
 
     def test_inf_coordinates_rejected_by_bulk_load(self):
         points = np.ones((100, 2))

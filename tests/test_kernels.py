@@ -32,7 +32,6 @@ from repro.kernels import (
     DEFAULT_MEMORY_CAP_BYTES,
     KERNEL_ENV_VAR,
     MEMORY_CAP_ENV_VAR,
-    PREFERRED_KERNEL,
     BatchPlan,
     LeafGeometry,
     NumpyBatchedKernel,
@@ -390,7 +389,7 @@ class TestBatchPlanAndGrid:
 class TestRegistry:
     def test_default_is_batched(self, monkeypatch):
         monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-        assert DEFAULT_KERNEL == PREFERRED_KERNEL == "numpy_batched"
+        assert DEFAULT_KERNEL == "numpy_batched"
         assert default_kernel_name() == "numpy_batched"
         assert get_kernel().name == "numpy_batched"
 
@@ -415,7 +414,7 @@ class TestRegistry:
 
     def test_available_kernels_sorted(self):
         names = available_kernels()
-        assert "reference" in names and "numpy_batched" in names
+        assert names == ("numpy_batched", "reference")
         assert list(names) == sorted(names)
 
     def test_instances_cached(self):
@@ -430,23 +429,13 @@ class TestRegistry:
         assert "simd_avx1024" in str(err)
         assert "reference" in str(err)
         assert isinstance(err, ValueError)
+        with pytest.raises(UnknownKernelError):
+            get_kernel("numba")
 
     def test_unknown_env_kernel_raises(self, monkeypatch):
         monkeypatch.setenv(KERNEL_ENV_VAR, "warp_drive")
         with pytest.raises(UnknownKernelError):
             get_kernel()
-
-    def test_unavailable_backend_explains_itself(self, monkeypatch):
-        assert available_kernels() == ("numpy_batched", "reference")
-        monkeypatch.setitem(
-            kernel_registry._unavailable, "fpga", "no FPGA attached"
-        )
-        with pytest.raises(UnknownKernelError) as excinfo:
-            get_kernel("fpga")
-        assert "no FPGA attached" in str(excinfo.value)
-        with pytest.raises(UnknownKernelError) as excinfo:
-            get_kernel("numba")
-        assert excinfo.value.reason is None
 
 
 class TestMemoryCap:

@@ -550,7 +550,7 @@ class TestPredictionService:
 
 
 class TestBatchedPrediction:
-    """The fused warm path: ``predict_many`` / ``predict_grid`` and the
+    """The fused warm path: ``predict_many`` and the
     request coalescer are pure speed knobs -- every answer, detail dict,
     and charged op is bit-identical to the one-request-at-a-time path."""
 
@@ -578,18 +578,6 @@ class TestBatchedPrediction:
         ranged = RangeWorkload(lower=points[:4] - 0.1, upper=points[:4] + 0.1)
         with pytest.raises(InputValidationError):
             model.predict_many([knn, ranged])
-
-    def test_predict_grid_rows_match_with_radii(self, points, model):
-        workload = self._workloads(points, 1)[0]
-        grid = np.stack([
-            workload.radii * s for s in (0.0, 0.5, 1.0, 2.0)
-        ])
-        fused = model.predict_grid(workload, grid)
-        assert len(fused) == 4
-        for r, result in enumerate(fused):
-            solo = model.predict(workload.with_radii(grid[r]))
-            np.testing.assert_array_equal(result.per_query, solo.per_query)
-            assert result.detail["grid_row"] == r
 
     def test_coalesce_knob_validated(self):
         with pytest.raises(InputValidationError):
