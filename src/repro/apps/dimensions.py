@@ -106,7 +106,6 @@ def sweep_index_dimensions(
     budget: Budget | None = None,
     cell_deadline_s: float | None = None,
     max_workers: int = 4,
-    kernel: str | None = None,
 ) -> DimensionSweep:
     """Predict index page accesses for each candidate prefix length.
 
@@ -134,7 +133,7 @@ def sweep_index_dimensions(
         projected = np.ascontiguousarray(data[:, :m])
         reduced_workload = _projected_workload(workload, m)
         predictor = IndexCostPredictor(
-            dim=m, memory=memory, disk_parameters=disk, kernel=kernel
+            dim=m, memory=memory, disk_parameters=disk
         )
         prediction = predictor.predict(
             projected, reduced_workload, method=method, seed=seed
@@ -150,7 +149,7 @@ def sweep_index_dimensions(
                     projected, predictor.c_data, predictor.c_dir
                 ).leaf_geometry
                 measured_geometry[key] = geometry
-            counts = get_kernel(kernel).count_knn(
+            counts = get_kernel().count_knn(
                 geometry, reduced_workload.queries, reduced_workload.radii
             )
             measured_accesses = float(np.mean(counts))

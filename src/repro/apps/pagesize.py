@@ -101,7 +101,6 @@ def sweep_page_sizes(
     budget: Budget | None = None,
     cell_deadline_s: float | None = None,
     max_workers: int = 4,
-    kernel: str | None = None,
 ) -> PageSizeSweep:
     """Predict per-query I/O cost across candidate page sizes.
 
@@ -120,10 +119,6 @@ def sweep_page_sizes(
     sweep, and :attr:`PageSizeSweep.predicted_optimum` skips them.
     Without either, cells run serially and the sweep is bit-identical to
     the ungoverned behavior.
-
-    ``kernel`` selects the counting backend for both the predictions and
-    the measured curve; all kernels count identically, so it only
-    changes the sweep's speed.
     """
     data = np.asarray(data, dtype=np.float64)
     base_disk = base_disk or DiskParameters()
@@ -140,7 +135,7 @@ def sweep_page_sizes(
         if geometry is None:
             geometry = RTree.bulk_load(data, c_data, c_dir).leaf_geometry
             measured_geometry[(c_data, c_dir)] = geometry
-        return get_kernel(kernel).count_knn(
+        return get_kernel().count_knn(
             geometry, workload.queries, workload.radii
         )
 
@@ -148,7 +143,6 @@ def sweep_page_sizes(
         disk = base_disk.with_page_bytes(page_bytes)
         predictor = IndexCostPredictor(
             dim=data.shape[1], memory=memory, disk_parameters=disk,
-            kernel=kernel,
         )
         prediction = predictor.predict(data, workload, method=method, seed=seed)
         measured_accesses: float | None = None

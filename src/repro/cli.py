@@ -56,7 +56,6 @@ from .errors import (
     exit_code_for,
 )
 from .experiments.tables import format_signed_percent, format_table
-from .kernels.registry import KERNEL_ENV_VAR, available_kernels
 from .runtime.budget import Budget
 from .service import PredictionService, TenantQuota
 from .workload.queries import density_biased_knn_workload
@@ -159,12 +158,6 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scrub", action="store_true",
                         help="sweep the file for rot after a successful "
                              "prediction and print the scrub report")
-    parser.add_argument("--kernel", default=None,
-                        help="counting kernel backend "
-                             f"({', '.join(available_kernels())}; default "
-                             f"from ${KERNEL_ENV_VAR}, else numpy_batched); "
-                             "all kernels count identically, this only "
-                             "changes speed")
 
 
 def _load_points(args: argparse.Namespace) -> np.ndarray:
@@ -190,7 +183,6 @@ def _context(args: argparse.Namespace):
         scrub=getattr(args, "scrub", False),
         verify_checksums=getattr(args, "verify_checksums", False),
         crash_at=getattr(args, "crash_at", None),
-        kernel=getattr(args, "kernel", None),
     )
     workload = predictor.make_workload(points, args.queries, args.k,
                                        seed=args.seed)
@@ -311,7 +303,7 @@ def _cmd_tune_pagesize(args: argparse.Namespace) -> int:
     points, _, workload = _context(args)
     sweep = sweep_page_sizes(
         points, workload, memory=args.memory, measure=args.verify,
-        seed=args.seed, kernel=getattr(args, "kernel", None),
+        seed=args.seed,
     )
     rows = []
     for p in sweep.points:
@@ -346,7 +338,6 @@ def _cmd_scrub(args: argparse.Namespace) -> int:
         parity=args.parity,
         scrub=True,
         crash_at=args.crash_at,
-        kernel=getattr(args, "kernel", None),
     )
     file = predictor.new_file(points)
     report = file.scrub()
@@ -376,7 +367,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers, max_queue=args.max_queue,
         memory=args.memory, default_quota=quota,
         artifact_dir=args.artifact_dir,
-        kernel=getattr(args, "kernel", None),
         coalesce=args.coalesce,
         coalesce_window_ms=args.coalesce_window_ms,
     )
@@ -469,10 +459,45 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+#: flags only the cluster demo reads, with the values it uses: the
+#: ``--chaos`` storm builds its own data and topology.  The parser
+#: defaults them to None so that a given flag is visible.
+_CLUSTER_DEMO_DEFAULTS = {
+    "dataset": "TEXTURE60", "input": None, "scale": 0.05, "queries": 24,
+    "k": 5, "memory": 500, "shards": 2, "replicas": 3, "replication": 2,
+    "artifact_dir": None,
+}
+
+#: flags only the ``--chaos`` storm reads
+_CLUSTER_CHAOS_ONLY = ("controller", "double_kill", "scale_events")
+
+
+def _check_cluster_flags(args: argparse.Namespace) -> None:
+    """Refuse a flag the chosen mode would ignore (exit 2), then fill in
+    the demo's defaults."""
+    def flag(dest: str) -> str:
+        return "--" + dest.replace("_", "-")
+
+    if args.chaos:
+        for dest in _CLUSTER_DEMO_DEFAULTS:
+            if getattr(args, dest) is not None:
+                args.parser.error(f"{flag(dest)} cannot be combined with "
+                                  f"--chaos: the storm builds its own data "
+                                  f"and topology")
+        return
+    for dest in _CLUSTER_CHAOS_ONLY:
+        if getattr(args, dest):
+            args.parser.error(f"{flag(dest)} requires --chaos")
+    for dest, value in _CLUSTER_DEMO_DEFAULTS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
+
+
 def _cmd_cluster(args: argparse.Namespace) -> int:
     import json
     import tempfile
 
+    _check_cluster_flags(args)
     if args.chaos:
         if args.controller:
             # the scenario tests/test_cluster_chaos.py runs
@@ -511,7 +536,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             n_shards=args.shards, n_replicas=args.replicas,
             replication=min(args.replication, args.replicas),
             memory=args.memory, seed=args.seed,
-            kernel=getattr(args, "kernel", None),
         ) as cluster:
             table = cluster.router.table.as_dict()
             rows = []
@@ -675,22 +699,20 @@ def build_parser() -> argparse.ArgumentParser:
              "its shard table, or run the seeded chaos storm (--chaos)",
     )
     _add_data_arguments(cluster)
-    cluster.add_argument("--queries", type=int, default=24,
+    cluster.add_argument("--queries", type=int,
                          help="demo workload size (default 24)")
-    cluster.add_argument("--k", type=int, default=5, help="k for k-NN")
-    cluster.add_argument("--memory", type=int, default=500,
-                         help="per-replica memory budget M in points")
-    cluster.add_argument("--shards", type=int, default=2,
+    cluster.add_argument("--k", type=int, help="k for k-NN (default 5)")
+    cluster.add_argument("--memory", type=int,
+                         help="per-replica memory budget M in points "
+                              "(default 500)")
+    cluster.add_argument("--shards", type=int,
                          help="similarity shards (default 2)")
-    cluster.add_argument("--replicas", type=int, default=3,
+    cluster.add_argument("--replicas", type=int,
                          help="replica processes (default 3)")
-    cluster.add_argument("--replication", type=int, default=2,
+    cluster.add_argument("--replication", type=int,
                          help="owners per shard (default 2): each extra "
                               "owner is a bit-identical failover target")
-    cluster.add_argument("--kernel", default=None,
-                         help="counting kernel backend")
-    cluster.add_argument("--artifact-dir", default=None,
-                         dest="artifact_dir",
+    cluster.add_argument("--artifact-dir", dest="artifact_dir",
                          help="root directory for per-replica warm-start "
                               "artifacts (default: a temporary directory)")
     cluster.add_argument("--chaos", action="store_true",
@@ -715,7 +737,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "instead (3 shards, decaying load, kill "
                               "and corruption mid-merge, topology must "
                               "shrink with zero errors)")
-    cluster.set_defaults(run=_cmd_cluster)
+    cluster.set_defaults(run=_cmd_cluster, parser=cluster,
+                         **dict.fromkeys(_CLUSTER_DEMO_DEFAULTS))
 
     costs = commands.add_parser("costs", help="analytical Eqs. 1-5")
     costs.add_argument("--n", type=int, default=1_000_000)

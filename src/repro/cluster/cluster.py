@@ -122,7 +122,6 @@ class PredictionCluster:
         page_sizes: tuple[int, ...] = DEFAULT_TUNING_PAGE_SIZES,
         tuning_method: str = "cutoff",
         base_disk: DiskParameters | None = None,
-        kernel: str | None = None,
         quota: TenantQuota | None = None,
         latency_factors: dict[str, float] | None = None,
         hedge_after_s: float = 0.05,
@@ -156,7 +155,6 @@ class PredictionCluster:
         self.page_sizes = page_sizes
         self.tuning_method = tuning_method
         self.base_disk = base_disk
-        self.kernel = kernel
         self.tuning_workload = tuning_workload
 
         # 1. partition: queries by similarity, data by the same centroids
@@ -210,7 +208,7 @@ class PredictionCluster:
                 shard, self.shard_points[shard], slice_workload,
                 memory=memory, page_sizes=page_sizes,
                 base_disk=base_disk, method=tuning_method,
-                seed=seed, kernel=kernel,
+                seed=seed,
             )
 
         # 3. replicate: ring placement, identical config per owner
@@ -221,7 +219,7 @@ class PredictionCluster:
         # untouched
         self._replica_kwargs = dict(
             workers=workers_per_replica, max_queue=max_queue,
-            memory=memory, kernel=kernel, quota=quota,
+            memory=memory, quota=quota,
             coalesce=coalesce, coalesce_window_ms=coalesce_window_ms,
         )
         factors = latency_factors or {}
@@ -575,7 +573,6 @@ class PredictionCluster:
                 reg["points"],
                 c_data=config.c_data, c_dir=config.c_dir,
                 memory=replica.service.memory, seed=reg["fit_seed"],
-                kernel=replica.service.kernel,
             )
 
         return replica.service.store.load_or_fit(shard_tenant(shard), fit)

@@ -435,7 +435,7 @@ class TopologyManager:
                 child.shard, child.points, child.workload,
                 memory=cluster.memory, page_sizes=cluster.page_sizes,
                 base_disk=cluster.base_disk, method=cluster.tuning_method,
-                seed=cluster.seed, kernel=cluster.kernel,
+                seed=cluster.seed,
             )
         charged = sum(child.config.tuning_io_ops for child in children)
         self.governor.observe(op, IOCost(seeks=int(charged)))

@@ -64,7 +64,6 @@ class Replica:
         workers: int = 2,
         max_queue: int = 32,
         memory: int = 2_000,
-        kernel: str | None = None,
         latency_factor: float = 1.0,
         quota: TenantQuota | None = None,
         coalesce: bool = False,
@@ -90,7 +89,7 @@ class Replica:
         self._registered: dict[int, dict] = {}
         self._service_kwargs = dict(
             workers=workers, max_queue=max_queue, memory=memory,
-            kernel=kernel, artifact_dir=str(self.artifact_dir),
+            artifact_dir=str(self.artifact_dir),
             coalesce=coalesce, coalesce_window_ms=coalesce_window_ms,
         )
         self.service = self._new_service()

@@ -87,7 +87,6 @@ def tune_shard(
     base_disk: DiskParameters | None = None,
     method: str = "cutoff",
     seed: int = 0,
-    kernel: str | None = None,
 ) -> ShardConfig:
     """Tune one shard's page size on its own data and workload slice.
 
@@ -101,7 +100,7 @@ def tune_shard(
     sweep = sweep_page_sizes(
         data, workload,
         memory=memory, page_sizes=page_sizes,
-        base_disk=base_disk, method=method, seed=seed, kernel=kernel,
+        base_disk=base_disk, method=method, seed=seed,
     )
     optimum = sweep.predicted_optimum
     if optimum is None:

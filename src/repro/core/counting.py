@@ -4,10 +4,10 @@ Every prediction method in the paper ends the same way: given the
 (estimated, compensation-grown) leaf pages and the query workload,
 count for each query how many pages its region intersects and report
 the average (Figures 5 and 7, last steps).  This module is that shared
-final step, for both k-NN spheres and range boxes -- now a thin
-dispatch through the counting-kernel registry
-(:mod:`repro.kernels`), so every predictor runs the same batched fast
-path and the backend is selected in exactly one place.
+final step, for both k-NN spheres and range boxes -- a thin dispatch
+to the selected counting kernel (:func:`repro.kernels.get_kernel`,
+looked up on every call), so every predictor runs the same batched
+fast path and the backend is selected in exactly one place.
 """
 
 from __future__ import annotations
@@ -62,16 +62,13 @@ class PredictionResult:
 def count_accesses(
     geometry: LeafGeometry,
     workload: KNNWorkload | RangeWorkload,
-    *,
-    kernel: str | None = None,
 ) -> np.ndarray:
     """Per-query count of leaf pages each query region intersects.
 
-    Dispatches on the workload type (k-NN spheres vs. range boxes) and
-    on the selected counting kernel; all kernels return bit-identical
-    counts, so ``kernel`` is purely a performance choice.
+    Dispatches on the workload type (k-NN spheres vs. range boxes) to
+    the selected counting kernel.
     """
-    backend = get_kernel(kernel)
+    backend = get_kernel()
     if isinstance(workload, KNNWorkload):
         return backend.count_knn(geometry, workload.queries, workload.radii)
     return backend.count_range(geometry, workload.lower, workload.upper)
@@ -81,8 +78,6 @@ def count_grid_accesses(
     geometry: LeafGeometry,
     workload: KNNWorkload,
     radii_grid: np.ndarray,
-    *,
-    kernel: str | None = None,
 ) -> np.ndarray:
     """Fused (queries x radii) counts: one geometry pass, ``(g, q)`` rows.
 
@@ -92,19 +87,16 @@ def count_grid_accesses(
     radius rows stop re-dispatching the kernel per row.  ``radii_grid``
     may be ``(g, q)`` or ``(g,)`` (a constant radius per row).
     """
-    backend = get_kernel(kernel)
-    return backend.count_grid(geometry, workload.queries, radii_grid)
+    return get_kernel().count_grid(geometry, workload.queries, radii_grid)
 
 
 def knn_accesses_per_query(
     lower: np.ndarray,
     upper: np.ndarray,
     workload: KNNWorkload,
-    *,
-    kernel: str | None = None,
 ) -> np.ndarray:
     """Per-query count of leaf boxes intersecting each k-NN sphere."""
-    return get_kernel(kernel).count_knn(
+    return get_kernel().count_knn(
         LeafGeometry.from_corners(lower, upper), workload.queries, workload.radii
     )
 
@@ -113,10 +105,8 @@ def range_accesses_per_query(
     lower: np.ndarray,
     upper: np.ndarray,
     workload: RangeWorkload,
-    *,
-    kernel: str | None = None,
 ) -> np.ndarray:
     """Per-query count of leaf boxes intersecting each range box."""
-    return get_kernel(kernel).count_range(
+    return get_kernel().count_range(
         LeafGeometry.from_corners(lower, upper), workload.lower, workload.upper
     )

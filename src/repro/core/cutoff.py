@@ -102,7 +102,6 @@ class CutoffModel:
     memory: int
     h_upper: int | None = None
     config: BulkLoadConfig | None = None
-    kernel: str | None = None
 
     def predict(
         self,
@@ -159,7 +158,7 @@ class CutoffModel:
             # Synthesis is free I/O, but a deadline can still pass here.
             governor.check("cutoff:synthesize",
                            file.disk.cost - start_cost)
-        per_query = count_accesses(geometry, workload, kernel=self.kernel)
+        per_query = count_accesses(geometry, workload)
         return PredictionResult(
             per_query=per_query,
             io_cost=file.disk.cost - start_cost,
@@ -168,7 +167,7 @@ class CutoffModel:
                 "sigma_upper": upper.sigma_upper,
                 "k_upper_leaves": upper.k,
                 "n_predicted_leaves": geometry.k,
-                "kernel": get_kernel(self.kernel).name,
+                "kernel": get_kernel().name,
             },
         )
 

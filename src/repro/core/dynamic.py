@@ -53,7 +53,6 @@ class DynamicMiniIndexModel:
     c_data: int
     c_dir: int
     compensate: bool = True
-    kernel: str | None = None
 
     def predict(
         self,
@@ -96,7 +95,7 @@ class DynamicMiniIndexModel:
                 compensated = True
             except ValueError:
                 pass
-        per_query = count_accesses(geometry, workload, kernel=self.kernel)
+        per_query = count_accesses(geometry, workload)
         return PredictionResult(
             per_query=per_query,
             detail={
@@ -105,6 +104,6 @@ class DynamicMiniIndexModel:
                 "n_mini_leaves": int(mini.n_leaves),
                 "c_eff_estimate": c_eff_estimate,
                 "compensated": compensated,
-                "kernel": get_kernel(self.kernel).name,
+                "kernel": get_kernel().name,
             },
         )

@@ -28,7 +28,6 @@ class KDBMiniIndexModel:
     """Sampling predictor for k-d-B-tree page accesses."""
 
     c_data: int
-    kernel: str | None = None
 
     def predict(
         self,
@@ -56,14 +55,12 @@ class KDBMiniIndexModel:
             virtual_n=n,
             region=(points.min(axis=0), points.max(axis=0)),
         )
-        per_query = count_accesses(
-            mini.leaf_geometry, workload, kernel=self.kernel
-        )
+        per_query = count_accesses(mini.leaf_geometry, workload)
         return PredictionResult(
             per_query=per_query,
             detail={
                 "zeta": sample.shape[0] / n,
                 "n_mini_leaves": int(mini.n_leaves),
-                "kernel": get_kernel(self.kernel).name,
+                "kernel": get_kernel().name,
             },
         )

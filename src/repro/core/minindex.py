@@ -29,16 +29,13 @@ class MiniIndexModel:
     """Sampling-based predictor with the whole sample held in memory.
 
     ``compensate=False`` disables Theorem 1's page growth -- that is the
-    "no compensation" series of Figure 2.  ``kernel`` selects the
-    counting backend; all kernels are bit-identical, so it never changes
-    the prediction.
+    "no compensation" series of Figure 2.
     """
 
     c_data: int
     c_dir: int
     compensate: bool = True
     config: BulkLoadConfig | None = None
-    kernel: str | None = None
 
     def predict(
         self,
@@ -53,8 +50,8 @@ class MiniIndexModel:
         ``1/C`` so that sampled pages retain volume (Section 3.3).
         """
         geometry, detail = self.fit_geometry(points, sampling_fraction, rng)
-        per_query = count_accesses(geometry, workload, kernel=self.kernel)
-        detail["kernel"] = get_kernel(self.kernel).name
+        per_query = count_accesses(geometry, workload)
+        detail["kernel"] = get_kernel().name
         return PredictionResult(per_query=per_query, detail=detail)
 
     def fit_geometry(

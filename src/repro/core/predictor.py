@@ -139,17 +139,13 @@ class IndexCostPredictor:
     #: :class:`~repro.errors.CircuitOpenError` instead of burning the
     #: retry budget, and the facade degrades to the disk-free methods
     breaker: CircuitBreaker | None = None
-    #: counting kernel name (``None`` resolves via ``REPRO_KERNEL``,
-    #: then the ``numpy_batched`` default); all kernels return
-    #: bit-identical counts, so this only changes speed, never results
-    kernel: str | None = None
 
     def __post_init__(self) -> None:
-        # Resolve eagerly so a typo fails at construction with the typed
-        # UnknownKernelError, not mid-prediction after a dataset scan;
-        # likewise a malformed REPRO_KERNEL_CAP_BYTES, which the on-disk
-        # measurement reads whichever kernel counts.
-        get_kernel(self.kernel)
+        # Resolve REPRO_KERNEL eagerly so a typo fails at construction
+        # with the typed UnknownKernelError, not mid-prediction after a
+        # dataset scan; likewise a malformed REPRO_KERNEL_CAP_BYTES,
+        # which the on-disk measurement reads whichever kernel counts.
+        get_kernel()
         memory_cap_from_env()
         for name, rate in (
             ("fault_rate", self.fault_rate),
@@ -361,14 +357,10 @@ class IndexCostPredictor:
         rng = np.random.default_rng(seed)
         fraction = (sampling_fraction if sampling_fraction is not None
                     else min(1.0, self.memory / points.shape[0]))
-        model = MiniIndexModel(
-            self.c_data, self.c_dir, config=self.config, kernel=self.kernel,
-        )
+        model = MiniIndexModel(self.c_data, self.c_dir, config=self.config)
         geometry, detail = model.fit_geometry(points, fraction, rng)
-        detail["kernel"] = get_kernel(self.kernel).name
-        grid = count_grid_accesses(
-            geometry, workload, radii_grid, kernel=self.kernel
-        )
+        detail["kernel"] = get_kernel().name
+        grid = count_grid_accesses(geometry, workload, radii_grid)
         return [
             PredictionResult(
                 per_query=grid[r],
@@ -596,21 +588,18 @@ class IndexCostPredictor:
                     max(1, int(np.ceil(points.shape[0] * fraction))),
                     points.shape[1], phase="mini:sample",
                 )
-            model = MiniIndexModel(
-                self.c_data, self.c_dir, config=self.config,
-                kernel=self.kernel,
-            )
+            model = MiniIndexModel(self.c_data, self.c_dir, config=self.config)
             return model.predict(points, workload, fraction, rng)
         if method == "cutoff":
             cutoff = CutoffModel(
                 self.c_data, self.c_dir, self.memory, h_upper=h_upper,
-                config=self.config, kernel=self.kernel,
+                config=self.config,
             )
             return cutoff.predict(file, workload, rng, governor=governor)
         if method == "resampled":
             resampled = ResampledModel(
                 self.c_data, self.c_dir, self.memory, h_upper=h_upper,
-                config=self.config, kernel=self.kernel,
+                config=self.config,
             )
             return resampled.predict(file, workload, rng, governor=governor)
         if method == "baseline":

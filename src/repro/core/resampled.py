@@ -77,7 +77,6 @@ class ResampledModel:
     #: bucket-level resumes allowed across the spill phase after the
     #: file's per-access retry policy is exhausted (fault tolerance)
     spill_resume_attempts: int = 3
-    kernel: str | None = None
 
     def __post_init__(self) -> None:
         if self.overflow_policy not in ("reservoir", "discard"):
@@ -167,7 +166,7 @@ class ResampledModel:
                     "n_predicted_leaves": geometry.k,
                     "n_discarded_overflow": 0,
                     "leaf_growth_factor": upper.growth_factor,
-                    "kernel": get_kernel(self.kernel).name,
+                    "kernel": get_kernel().name,
                 },
             )
 
@@ -253,7 +252,7 @@ class ResampledModel:
                 "n_discarded_overflow": n_discarded,
                 "n_spill_resumes": n_spill_resumes,
                 "leaf_growth_factor": leaf_growth,
-                "kernel": get_kernel(self.kernel).name,
+                "kernel": get_kernel().name,
             },
         )
 
@@ -267,7 +266,7 @@ class ResampledModel:
         geometry: LeafGeometry,
         workload: KNNWorkload | RangeWorkload,
     ) -> np.ndarray:
-        return count_accesses(geometry, workload, kernel=self.kernel)
+        return count_accesses(geometry, workload)
 
     @staticmethod
     def _ckpt_charge(file: PointFile, ck: dict) -> None:

@@ -34,10 +34,10 @@ purpose by this package derives from :class:`ReproError`:
     infeasible, or disk faults exhausted every retry and every
     fallback method).
 ``UnknownKernelError``
-    a counting-kernel name did not resolve against the kernel registry
-    (``repro.kernels``).  Also a :class:`ValueError` so that passing a
-    bad ``kernel=`` argument behaves like any other invalid parameter;
-    the CLI maps it to exit code 14.
+    a counting-kernel name (``REPRO_KERNEL``, or a name passed to
+    :func:`repro.kernels.get_kernel`) did not resolve against the kernel
+    table.  Also a :class:`ValueError`, like any other invalid
+    parameter; the CLI maps it to exit code 14.
 ``BudgetExceededError`` / ``DeadlineExceededError``
     a :class:`~repro.runtime.Budget` resource (charged I/O operations,
     sample bytes) or its wall-clock deadline ran out mid-prediction.
@@ -258,7 +258,7 @@ class PredictionError(ReproError):
 
 
 class UnknownKernelError(ReproError, ValueError):
-    """A counting-kernel name did not resolve against the registry.
+    """A counting-kernel name did not resolve against the kernel table.
 
     ``kernel`` is the rejected name and ``available`` the names that
     would have resolved.  Raised eagerly by
@@ -539,8 +539,8 @@ def validate_points(points, *, name: str = "points") -> np.ndarray:
 #: its exit code here.
 EXIT_CODES: tuple[tuple[type, int, str], ...] = (
     (UnknownKernelError, 14,
-     "unknown counting kernel (--kernel / REPRO_KERNEL did not match "
-     "a registered backend)"),
+     "unknown counting kernel (REPRO_KERNEL did not match a "
+     "registered backend)"),
     (InputValidationError, 3,
      "invalid input (NaN/inf, empty matrix, bad rates)"),
     (TransientReadError, 4, "transient read fault, retries exhausted"),

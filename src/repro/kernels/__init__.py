@@ -4,7 +4,7 @@ Everything the paper predicts reduces to one primitive: count, for each
 query region, the leaf pages it intersects.  This package owns that
 primitive end to end -- the canonical structure-of-arrays
 :class:`LeafGeometry` value that every tree and predictor produces and
-caches, and a registry of interchangeable counting backends:
+caches, and the two interchangeable counting backends:
 
 ``reference``
     the per-query loop kept as the correctness oracle,
@@ -12,11 +12,11 @@ caches, and a registry of interchangeable counting backends:
     query-tiled blocked broadcasting with a memory cap and exact early
     pruning (the default).
 
-All kernels return bit-identical ``per_query`` counts (the equivalence
-property tests enforce it), so the selection -- via
-``IndexCostPredictor(kernel=...)``, the CLI ``--kernel`` flag, or the
-``REPRO_KERNEL`` environment variable -- is purely a performance knob
-and no paper figure depends on it.
+Both return bit-identical ``per_query`` counts (the equivalence
+property tests enforce it), so the selection -- made only by the
+``REPRO_KERNEL`` environment variable, which :func:`get_kernel`
+resolves on every dispatch -- is purely a performance knob and no
+paper figure depends on it.
 
 Every kernel also exposes the fused ``count_grid`` entry point -- one
 geometry pass answering a whole (queries x radii) grid -- and
@@ -27,6 +27,8 @@ of the service coalescer.
 
 from .batch import BatchPlan, as_radii_grid
 from .geometry import LeafGeometry
+from .batched import DEFAULT_MEMORY_CAP_BYTES, MEMORY_CAP_ENV_VAR, NumpyBatchedKernel
+from .reference import ReferenceKernel
 from .registry import (
     DEFAULT_KERNEL,
     KERNEL_ENV_VAR,
@@ -34,13 +36,7 @@ from .registry import (
     available_kernels,
     default_kernel_name,
     get_kernel,
-    register_kernel,
 )
-
-# Importing the backend modules registers them; reference first so the
-# oracle is always present, then the default.
-from .reference import ReferenceKernel
-from .batched import DEFAULT_MEMORY_CAP_BYTES, MEMORY_CAP_ENV_VAR, NumpyBatchedKernel
 
 __all__ = [
     "DEFAULT_KERNEL",
@@ -56,5 +52,4 @@ __all__ = [
     "available_kernels",
     "default_kernel_name",
     "get_kernel",
-    "register_kernel",
 ]

@@ -41,7 +41,6 @@ import numpy as np
 from ..errors import InputValidationError
 from .batch import as_radii_grid
 from .geometry import LeafGeometry
-from .registry import register_kernel
 
 __all__ = [
     "DEFAULT_MEMORY_CAP_BYTES",
@@ -295,6 +294,3 @@ class NumpyBatchedKernel:
                 cols = cols[keep]
             start, width = stop, 2 * width
         return np.bincount(rows, minlength=q_lower.shape[0]).astype(np.int64)
-
-
-register_kernel("numpy_batched", NumpyBatchedKernel)

@@ -26,7 +26,6 @@ import numpy as np
 
 from .batch import as_radii_grid
 from .geometry import LeafGeometry
-from .registry import register_kernel
 
 __all__ = ["ReferenceKernel"]
 
@@ -105,6 +104,3 @@ class ReferenceKernel:
             hits = (q_lower[i] <= upper) & (lower <= q_upper[i])
             counts[i] = np.count_nonzero(hits.all(axis=1))
         return counts
-
-
-register_kernel("reference", ReferenceKernel)

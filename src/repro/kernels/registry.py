@@ -1,29 +1,35 @@
-"""The counting-kernel registry.
+"""The counting-kernel table.
 
 A *kernel* answers the paper's one hot question -- how many leaf pages
 does each query region intersect? -- for a whole workload at once,
-against a :class:`~repro.kernels.geometry.LeafGeometry`.  Kernels are
-interchangeable by contract: every registered backend must return
-**bit-identical** ``per_query`` counts (enforced by the equivalence
-property tests), so selecting one is purely a performance decision and
-no paper result can change with the selection.
+against a :class:`~repro.kernels.geometry.LeafGeometry`.  There are two,
+interchangeable by contract: both return **bit-identical**
+``per_query`` counts (enforced by the equivalence property tests), so
+the selection is purely a performance decision and no paper result can
+change with it.
 
-Selection order: an explicit name beats the ``REPRO_KERNEL``
-environment variable beats the default (``numpy_batched``).
-Unknown names raise the typed :class:`~repro.errors.UnknownKernelError`
--- eagerly, so a typo fails before any I/O is spent.
+The ``REPRO_KERNEL`` environment variable is the one selector: every
+counting site in the library calls :func:`get_kernel` with no name on
+each dispatch, which resolves ``REPRO_KERNEL`` or else the default
+(``numpy_batched``).  A name passed to :func:`get_kernel` addresses one
+kernel directly, which is how the equivalence tests and the benchmarks
+reach the ``reference`` oracle.  Unknown names raise the typed
+:class:`~repro.errors.UnknownKernelError`; the facade resolves the
+selection at construction, so a typo fails before any I/O is spent.
 """
 
 from __future__ import annotations
 
+import functools
 import os
-import threading
-from typing import Callable, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from ..errors import UnknownKernelError
+from .batched import NumpyBatchedKernel
 from .geometry import LeafGeometry
+from .reference import ReferenceKernel
 
 __all__ = [
     "CountingKernel",
@@ -32,15 +38,14 @@ __all__ = [
     "available_kernels",
     "default_kernel_name",
     "get_kernel",
-    "register_kernel",
 ]
 
-#: the kernel an unqualified lookup resolves to when no name or
-#: ``REPRO_KERNEL`` chooses
+#: the kernel an unqualified lookup resolves to when ``REPRO_KERNEL``
+#: is unset
 DEFAULT_KERNEL = "numpy_batched"
 
-#: environment variable consulted when no explicit name is given (this
-#: is what the CI kernel matrix sets to run the whole suite per backend)
+#: the environment variable that selects the kernel every counting site
+#: uses (the CI kernel matrix sets it to run the whole suite per backend)
 KERNEL_ENV_VAR = "REPRO_KERNEL"
 
 
@@ -50,8 +55,8 @@ class CountingKernel(Protocol):
 
     Both methods return an ``(q,)`` int64 array of per-query
     intersection counts and must be bit-identical across kernels for
-    the same inputs -- the equivalence tests hold every registered
-    backend to the ``reference`` oracle.
+    the same inputs -- the equivalence tests hold every backend to the
+    ``reference`` oracle.
     """
 
     name: str
@@ -82,22 +87,16 @@ class CountingKernel(Protocol):
         ...
 
 
-_factories: dict[str, Callable[[], CountingKernel]] = {}
-_instances: dict[str, CountingKernel] = {}
-_lock = threading.Lock()
-
-
-def register_kernel(name: str, factory: Callable[[], CountingKernel]) -> None:
-    """Register a kernel backend under ``name`` (idempotent by name)."""
-    with _lock:
-        _factories[name] = factory
-        _instances.pop(name, None)
+#: every kernel, by name
+_KERNELS: dict[str, type] = {
+    NumpyBatchedKernel.name: NumpyBatchedKernel,
+    ReferenceKernel.name: ReferenceKernel,
+}
 
 
 def available_kernels() -> tuple[str, ...]:
     """Names that :func:`get_kernel` will resolve, sorted."""
-    with _lock:
-        return tuple(sorted(_factories))
+    return tuple(sorted(_KERNELS))
 
 
 def default_kernel_name() -> str:
@@ -108,24 +107,20 @@ def default_kernel_name() -> str:
     return os.environ.get(KERNEL_ENV_VAR) or DEFAULT_KERNEL
 
 
+@functools.cache
+def _instance(name: str) -> CountingKernel:
+    return _KERNELS[name]()
+
+
 def get_kernel(name: str | None = None) -> CountingKernel:
-    """Resolve a kernel by name (argument > ``REPRO_KERNEL`` > default).
+    """The kernel called ``name``, or the selected one when ``None``.
 
     Instances are cached per name: kernels are stateless beyond their
     configuration, so one instance serves every predictor.  Raises
-    :class:`~repro.errors.UnknownKernelError` for names that are not
-    registered.
+    :class:`~repro.errors.UnknownKernelError` for names not in the
+    table.
     """
     resolved = name if name is not None else default_kernel_name()
-    with _lock:
-        instance = _instances.get(resolved)
-        if instance is not None:
-            return instance
-        factory = _factories.get(resolved)
-        if factory is None:
-            raise UnknownKernelError(
-                resolved, available=tuple(sorted(_factories))
-            )
-        instance = factory()
-        _instances[resolved] = instance
-        return instance
+    if resolved not in _KERNELS:
+        raise UnknownKernelError(resolved, available=available_kernels())
+    return _instance(resolved)

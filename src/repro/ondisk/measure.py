@@ -23,9 +23,6 @@ the paper observes a seek-to-transfer ratio near 1 for queries.  The
 test suite keeps the per-query search loop as the oracle and holds this
 replay bit-identical to it: per-query counts, ``IOCost``, and every
 read a fault injector sees.
-
-``sphere_accesses`` is the cheap equivalent for benchmarks that only
-need access *counts* of given query spheres, with no I/O charged.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ from ..rtree.tree import TreeQueries
 from ..workload.queries import KNNWorkload, search_kth_sq
 from .builder import OnDiskIndex
 
-__all__ = ["MeasurementResult", "measure_knn", "sphere_accesses"]
+__all__ = ["MeasurementResult", "measure_knn"]
 
 
 @dataclass(frozen=True)
@@ -163,12 +160,3 @@ def _directory_levels(tree: TreeQueries) -> list[tuple[LeafGeometry, np.ndarray]
         )
         for depth, level in enumerate(nodes)
     ]
-
-
-def sphere_accesses(
-    index: OnDiskIndex, workload: KNNWorkload, *, kernel: str | None = None
-) -> np.ndarray:
-    """Per-query leaf accesses via sphere intersection (no I/O charged)."""
-    return index.tree.leaf_accesses_for_radius(
-        workload.queries, workload.radii, kernel=kernel
-    )

@@ -2,10 +2,10 @@
 
 All index pages in this library are axis-aligned hyperrectangles in
 ``d``-dimensional space.  Sets of boxes are represented as a pair of
-``(n, d)`` float arrays (lower and upper corners) so that the hot
-operations of the paper -- MINDIST from a query point to every leaf page
-and sphere/box intersection counting -- are single vectorized numpy
-expressions.
+``(n, d)`` float arrays (lower and upper corners) so that box-set
+operations are single vectorized numpy expressions.  Counting the leaf
+pages a query sphere intersects -- the paper's hot operation -- is the
+counting kernels' job (:mod:`repro.kernels`).
 
 A small :class:`MBR` value type is provided for code that deals with one
 box at a time (tree nodes, upper-tree leaves); it is a thin, immutable
@@ -28,9 +28,6 @@ __all__ = [
     "union",
     "intersects_box",
     "contains_point",
-    "mindist_sq_point_to_boxes",
-    "count_sphere_intersections",
-    "sphere_intersects_boxes",
     "grow_centered",
     "stack_mbrs",
 ]
@@ -180,40 +177,6 @@ def contains_point(lower: np.ndarray, upper: np.ndarray, point: np.ndarray) -> n
     return np.logical_and(
         np.all(lower <= point, axis=-1), np.all(point <= upper, axis=-1)
     )
-
-
-def mindist_sq_point_to_boxes(
-    point: np.ndarray, lower: np.ndarray, upper: np.ndarray
-) -> np.ndarray:
-    """Squared MINDIST from one point to each box of a stacked set.
-
-    This is the classic R-tree MINDIST of Roussopoulos et al.: per
-    dimension, the distance to the nearest face if the point lies outside
-    the box's extent in that dimension, zero otherwise.
-    """
-    below = np.maximum(lower - point, 0.0)
-    above = np.maximum(point - upper, 0.0)
-    gap = below + above
-    return np.einsum("...d,...d->...", gap, gap)
-
-
-def sphere_intersects_boxes(
-    center: np.ndarray, radius: float, lower: np.ndarray, upper: np.ndarray
-) -> np.ndarray:
-    """Boolean mask of boxes intersected by the ball ``B(center, radius)``."""
-    return mindist_sq_point_to_boxes(center, lower, upper) <= radius * radius
-
-
-def count_sphere_intersections(
-    center: np.ndarray, radius: float, lower: np.ndarray, upper: np.ndarray
-) -> int:
-    """Number of boxes in a stacked set intersected by a query sphere.
-
-    This is the paper's page-access estimate: a leaf page must be read by
-    an (optimal) k-NN search exactly when its MBR intersects the final
-    k-NN sphere of the query.
-    """
-    return int(np.count_nonzero(sphere_intersects_boxes(center, radius, lower, upper)))
 
 
 def grow_centered(

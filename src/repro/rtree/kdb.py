@@ -114,11 +114,11 @@ class KDBTree:
         return KNNResult(ids, dists, leaf_accesses, node_accesses)
 
     def leaf_accesses_for_radius(
-        self, centers: np.ndarray, radii: np.ndarray, *, kernel: str | None = None
+        self, centers: np.ndarray, radii: np.ndarray
     ) -> np.ndarray:
         centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
         radii = np.atleast_1d(np.asarray(radii, dtype=np.float64))
-        return get_kernel(kernel).count_knn(self.leaf_geometry, centers, radii)
+        return get_kernel().count_knn(self.leaf_geometry, centers, radii)
 
     def validate(self) -> None:
         """Pages are disjoint, tile the root region, respect capacity

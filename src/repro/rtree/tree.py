@@ -151,22 +151,22 @@ class TreeQueries:
         return np.sort(np.concatenate(hits))
 
     def count_leaves_intersecting_sphere(
-        self, center: np.ndarray, radius: float, *, kernel: str | None = None
+        self, center: np.ndarray, radius: float
     ) -> int:
         """Leaf pages an optimal k-NN search with this final sphere reads."""
         center = np.atleast_2d(np.asarray(center, dtype=np.float64))
-        counts = get_kernel(kernel).count_knn(
+        counts = get_kernel().count_knn(
             self.leaf_geometry, center, np.asarray([radius], dtype=np.float64)
         )
         return int(counts[0])
 
     def leaf_accesses_for_radius(
-        self, centers: np.ndarray, radii: np.ndarray, *, kernel: str | None = None
+        self, centers: np.ndarray, radii: np.ndarray
     ) -> np.ndarray:
         """Batched sphere-intersection counts for a query workload."""
         centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
         radii = np.asarray(radii, dtype=np.float64)
-        return get_kernel(kernel).count_knn(self.leaf_geometry, centers, radii)
+        return get_kernel().count_knn(self.leaf_geometry, centers, radii)
 
 
 class RTree(TreeQueries):

@@ -88,33 +88,22 @@ class FittedModel:
     meta: dict = field(default_factory=dict)
 
     def predict(
-        self,
-        workload: KNNWorkload | RangeWorkload,
-        *,
-        kernel: str | None = None,
+        self, workload: KNNWorkload | RangeWorkload
     ) -> PredictionResult:
-        """Count the workload against the fitted geometry.
-
-        ``kernel`` overrides the counting backend recorded at fit time;
-        all kernels count bit-identically, so this never changes the
-        estimate.
-        """
-        backend = kernel if kernel is not None else self.meta.get("kernel")
-        per_query = count_accesses(self.geometry, workload, kernel=backend)
+        """Count the workload against the fitted geometry."""
+        per_query = count_accesses(self.geometry, workload)
         return PredictionResult(
             per_query=per_query,
             detail={
                 "warm": True,
                 "n_mini_leaves": self.geometry.k,
-                "kernel": get_kernel(backend).name,
+                "kernel": get_kernel().name,
             },
         )
 
     def predict_many(
         self,
         workloads: "list[KNNWorkload] | list[RangeWorkload]",
-        *,
-        kernel: str | None = None,
     ) -> list[PredictionResult]:
         """One fused kernel dispatch answering several workloads.
 
@@ -136,8 +125,7 @@ class FittedModel:
                 "predict_many cannot mix k-NN and range workloads in "
                 "one fused dispatch"
             )
-        backend = kernel if kernel is not None else self.meta.get("kernel")
-        impl = get_kernel(backend)
+        impl = get_kernel()
         plan = BatchPlan.for_members(
             [str(m) for m in range(len(workloads))],
             [w.n_queries for w in workloads],
@@ -175,7 +163,6 @@ def fit_model(
     memory: int = 10_000,
     seed: int = 0,
     config=None,
-    kernel: str | None = None,
 ) -> FittedModel:
     """Fit a warm-start model: sample, build, compensate, freeze.
 
@@ -191,7 +178,7 @@ def fit_model(
         )
     n, dim = points.shape
     fraction = min(1.0, memory / n)
-    model = MiniIndexModel(c_data, c_dir, config=config, kernel=kernel)
+    model = MiniIndexModel(c_data, c_dir, config=config)
     geometry, detail = model.fit_geometry(
         points, fraction, np.random.default_rng(seed)
     )
@@ -202,7 +189,6 @@ def fit_model(
         "c_dir": int(c_dir),
         "memory": int(memory),
         "seed": int(seed),
-        "kernel": kernel,
         **detail,
     }
     return FittedModel(geometry=geometry, meta=meta)

@@ -218,7 +218,6 @@ class PredictionService:
         default_quota: TenantQuota | None = None,
         artifact_dir: str | None = None,
         memory: int = 2_000,
-        kernel: str | None = None,
         clock: Callable[[], float] = time.monotonic,
         sleeper: Callable[[float], None] = time.sleep,
         pre_request_hook: Callable[["_Item"], None] | None = None,
@@ -240,7 +239,6 @@ class PredictionService:
         self.max_queue = max_queue
         self.default_quota = default_quota or TenantQuota()
         self.memory = memory
-        self.kernel = kernel
         self.store = ArtifactStore(artifact_dir) if artifact_dir else None
         self._clock = clock
         self._sleeper = sleeper
@@ -384,7 +382,6 @@ class PredictionService:
         predictor = IndexCostPredictor(
             dim=points.shape[1],
             memory=predictor_kwargs.pop("memory", self.memory),
-            kernel=predictor_kwargs.pop("kernel", self.kernel),
             **predictor_kwargs,
         )
         ledger = TenantLedger(name, quota or self.default_quota)
@@ -408,7 +405,6 @@ class PredictionService:
                 memory=tenant.predictor.memory,
                 seed=tenant.fit_seed,
                 config=tenant.predictor.config,
-                kernel=tenant.predictor.kernel,
             )
 
         if self.store is None:

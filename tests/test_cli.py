@@ -360,6 +360,31 @@ class TestClusterCommand:
         error = StaleRoutingEpochError(0, 1, 2)
         assert exit_code_for(error) == 19
 
+    @pytest.mark.parametrize("flag", ["--controller", "--double-kill",
+                                      "--scale-events"])
+    def test_chaos_only_flag_without_chaos_exits_2(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cluster", flag, "--scale", "0.005", "--queries", "8",
+                  "--memory", "200"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert f"{flag} requires --chaos" in captured.err
+        assert "owners (cheapest first)" not in captured.out
+
+    @pytest.mark.parametrize("flag", [
+        ["--dataset", "TEXTURE48"], ["--scale", "0.1"], ["--input", "x.npy"],
+        ["--memory", "200"], ["--shards", "3"], ["--queries", "8"],
+    ], ids=lambda flag: flag[0])
+    def test_demo_flag_with_chaos_exits_2(self, flag, monkeypatch, capsys):
+        scenarios = TestClusterChaosExitCodes._stub_storm(monkeypatch)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cluster", "--chaos", *flag])
+        assert excinfo.value.code == 2
+        assert f"{flag[0]} cannot be combined with --chaos" in (
+            capsys.readouterr().err
+        )
+        assert not scenarios
+
     def test_parser_accepts_controller_flags(self):
         args = build_parser().parse_args(["cluster", "--chaos",
                                           "--controller"])

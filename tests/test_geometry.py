@@ -102,24 +102,6 @@ class TestMBRBasics:
 
 
 class TestVectorizedOps:
-    def test_mindist_matches_scalar(self, rng):
-        points = rng.random((20, 4))
-        lower = points - rng.random((20, 4)) * 0.1
-        upper = points + rng.random((20, 4)) * 0.1
-        query = rng.random(4) * 2 - 0.5
-        vector = geometry.mindist_sq_point_to_boxes(query, lower, upper)
-        for i in range(20):
-            box = MBR(lower[i], upper[i])
-            assert vector[i] == pytest.approx(box.mindist_sq(query))
-
-    def test_count_sphere_intersections_matches_mask(self, rng):
-        lower = rng.random((50, 3))
-        upper = lower + rng.random((50, 3))
-        query = rng.random(3)
-        count = geometry.count_sphere_intersections(query, 0.4, lower, upper)
-        mask = geometry.sphere_intersects_boxes(query, 0.4, lower, upper)
-        assert count == int(mask.sum())
-
     def test_intersects_box_symmetry(self, rng):
         lower = rng.random((30, 3))
         upper = lower + rng.random((30, 3))
@@ -180,10 +162,7 @@ class TestGeometryProperties:
     @settings(max_examples=50, deadline=None)
     def test_mindist_zero_for_members(self, points):
         box = MBR.of_points(points)
-        dists = geometry.mindist_sq_point_to_boxes(
-            points[0], box.lower[None, :], box.upper[None, :]
-        )
-        assert dists[0] == pytest.approx(0.0, abs=1e-9)
+        assert box.mindist_sq(points[0]) == pytest.approx(0.0, abs=1e-9)
 
     @given(finite_points(min_n=2), st.floats(1.0, 10.0))
     @settings(max_examples=50, deadline=None)

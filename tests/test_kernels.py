@@ -40,7 +40,6 @@ from repro.kernels import (
     default_kernel_name,
     get_kernel,
 )
-from repro.kernels import registry as kernel_registry
 from repro.kernels.reference import ReferenceKernel
 from repro.workload.queries import KNNWorkload, RangeWorkload
 
@@ -394,22 +393,20 @@ class TestRegistry:
         assert get_kernel().name == "numpy_batched"
 
     def test_preferred_kernel_ladder(self, monkeypatch):
-        """Explicit name beats env beats numpy_batched; no other
-        registered backend is ever promoted over it."""
-        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-        monkeypatch.setitem(
-            kernel_registry._factories, "numba", ReferenceKernel
-        )
+        """``REPRO_KERNEL`` beats numpy_batched; an empty value counts
+        as unset, and no other backend is ever promoted over it."""
+        monkeypatch.setenv(KERNEL_ENV_VAR, "")
         assert default_kernel_name() == "numpy_batched"
+        assert get_kernel() is get_kernel("numpy_batched")
         monkeypatch.setenv(KERNEL_ENV_VAR, "reference")
         assert default_kernel_name() == "reference"
-        assert get_kernel("numpy_batched").name == "numpy_batched"
+        assert get_kernel() is get_kernel("reference")
 
     def test_env_var_resolution(self, monkeypatch):
         monkeypatch.setenv(KERNEL_ENV_VAR, "reference")
         assert default_kernel_name() == "reference"
         assert get_kernel().name == "reference"
-        # An explicit name always beats the environment.
+        # A name addresses one kernel whatever the environment selects.
         assert get_kernel("numpy_batched").name == "numpy_batched"
 
     def test_available_kernels_sorted(self):
@@ -419,6 +416,8 @@ class TestRegistry:
 
     def test_instances_cached(self):
         assert get_kernel("reference") is get_kernel("reference")
+        assert isinstance(get_kernel("reference"), ReferenceKernel)
+        assert isinstance(get_kernel("numpy_batched"), NumpyBatchedKernel)
 
     def test_unknown_kernel_typed_error(self):
         with pytest.raises(UnknownKernelError) as excinfo:
@@ -465,7 +464,8 @@ class TestMemoryCap:
 
 
 class TestPredictorsKernelInvariant:
-    """Every predictor's per-query counts survive a kernel swap."""
+    """Every predictor's per-query counts survive a kernel swap, made
+    the one way there is: ``REPRO_KERNEL``."""
 
     @pytest.fixture(scope="class")
     def points(self, clustered_points):
@@ -478,11 +478,12 @@ class TestPredictorsKernelInvariant:
         return predictor.make_workload(points, 15, 11, seed=2)
 
     @pytest.mark.parametrize("method", ["mini", "cutoff", "resampled"])
-    def test_facade_methods(self, method, points, workload):
+    def test_facade_methods(self, method, points, workload, monkeypatch):
         results = {}
         for name in ("reference", "numpy_batched"):
+            monkeypatch.setenv(KERNEL_ENV_VAR, name)
             predictor = IndexCostPredictor(
-                dim=16, memory=300, c_data=32, c_dir=16, kernel=name
+                dim=16, memory=300, c_data=32, c_dir=16
             )
             result = predictor.predict(points, workload, method=method,
                                        seed=5)
@@ -492,43 +493,50 @@ class TestPredictorsKernelInvariant:
             results["reference"], results["numpy_batched"]
         )
 
-    def test_kdb_model(self, points, workload):
-        counts = [
-            KDBMiniIndexModel(c_data=32, kernel=name)
-            .predict(points, workload, 0.25, np.random.default_rng(3))
-            .per_query
-            for name in ("reference", "numpy_batched")
-        ]
+    def test_kdb_model(self, points, workload, monkeypatch):
+        counts = []
+        for name in ("reference", "numpy_batched"):
+            monkeypatch.setenv(KERNEL_ENV_VAR, name)
+            result = KDBMiniIndexModel(c_data=32).predict(
+                points, workload, 0.25, np.random.default_rng(3)
+            )
+            assert result.detail["kernel"] == name
+            counts.append(result.per_query)
         np.testing.assert_array_equal(counts[0], counts[1])
 
-    def test_dynamic_model(self, points, workload):
-        counts = [
-            DynamicMiniIndexModel(32, 16, kernel=name)
-            .predict(points, workload, 0.25, np.random.default_rng(3))
-            .per_query
-            for name in ("reference", "numpy_batched")
-        ]
+    def test_dynamic_model(self, points, workload, monkeypatch):
+        counts = []
+        for name in ("reference", "numpy_batched"):
+            monkeypatch.setenv(KERNEL_ENV_VAR, name)
+            result = DynamicMiniIndexModel(32, 16).predict(
+                points, workload, 0.25, np.random.default_rng(3)
+            )
+            assert result.detail["kernel"] == name
+            counts.append(result.per_query)
         np.testing.assert_array_equal(counts[0], counts[1])
 
-    def test_range_workload_through_facade(self, points):
+    def test_range_workload_through_facade(self, points, monkeypatch):
         gen = np.random.default_rng(9)
         centers = points[gen.choice(points.shape[0], 12)]
         workload = RangeWorkload(lower=centers - 0.05, upper=centers + 0.05)
-        counts = [
-            IndexCostPredictor(dim=16, memory=300, c_data=32, c_dir=16,
-                               kernel=name)
-            .predict(points, workload, method="resampled", seed=5).per_query
-            for name in ("reference", "numpy_batched")
-        ]
+        counts = []
+        for name in ("reference", "numpy_batched"):
+            monkeypatch.setenv(KERNEL_ENV_VAR, name)
+            counts.append(
+                IndexCostPredictor(dim=16, memory=300, c_data=32, c_dir=16)
+                .predict(points, workload, method="resampled", seed=5)
+                .per_query
+            )
         np.testing.assert_array_equal(counts[0], counts[1])
 
-    def test_faulted_run_kernel_invariant(self, points, workload):
+    def test_faulted_run_kernel_invariant(self, points, workload, monkeypatch):
         """Seed-driven fault injection is kernel-independent: a flaky
         disk produces the same (repaired) prediction under any backend."""
         counts = []
         for name in ("reference", "numpy_batched"):
+            monkeypatch.setenv(KERNEL_ENV_VAR, name)
             predictor = IndexCostPredictor(
-                dim=16, memory=300, c_data=32, c_dir=16, kernel=name,
+                dim=16, memory=300, c_data=32, c_dir=16,
                 fault_rate=0.05, fault_seed=11,
             )
             counts.append(
@@ -537,9 +545,16 @@ class TestPredictorsKernelInvariant:
             )
         np.testing.assert_array_equal(counts[0], counts[1])
 
-    def test_bad_kernel_fails_at_construction(self):
+    def test_bad_kernel_fails_at_construction(self, monkeypatch):
+        """A bad selection fails before any work wherever a facade is
+        built, the service's tenant registration included."""
+        from repro.service import PredictionService
+
+        monkeypatch.setenv(KERNEL_ENV_VAR, "gpu_tensor")
+        service = PredictionService(workers=1)
         with pytest.raises(UnknownKernelError):
-            IndexCostPredictor(dim=4, memory=100, kernel="gpu_tensor")
+            service.register_tenant("t", np.zeros((8, 4)), warm=False)
+        assert not service.tenants()
 
     def test_env_kernel_checked_at_construction(self, monkeypatch):
         """The env-var default is validated as eagerly as the field."""
@@ -549,28 +564,46 @@ class TestPredictorsKernelInvariant:
 
 
 class TestCLIKernelFlag:
-    def test_explicit_kernel_runs(self, capsys):
-        assert main(["predict", *FAST, "--kernel", "reference"]) == 0
+    """The CLI selects kernels only through ``REPRO_KERNEL``."""
+
+    def test_explicit_kernel_runs(self, capsys, monkeypatch):
+        monkeypatch.setenv(KERNEL_ENV_VAR, "reference")
+        assert main(["predict", *FAST]) == 0
         assert "'kernel': 'reference'" in capsys.readouterr().out
 
-    def test_kernels_agree_end_to_end(self, capsys):
-        main(["predict", *FAST, "--kernel", "reference"])
+    def test_kernels_agree_end_to_end(self, capsys, monkeypatch):
+        monkeypatch.setenv(KERNEL_ENV_VAR, "reference")
+        assert main(["predict", *FAST]) == 0
         ref = capsys.readouterr().out
-        main(["predict", *FAST, "--kernel", "numpy_batched"])
-        fast = capsys.readouterr().out
-        assert (
-            [ln for ln in ref.splitlines() if "accesses" in ln]
-            == [ln for ln in fast.splitlines() if "accesses" in ln]
-        )
+        monkeypatch.delenv(KERNEL_ENV_VAR)
+        assert main(["predict", *FAST]) == 0
+        default = capsys.readouterr().out
+        assert "'kernel': 'numpy_batched'" in default
+        accesses = [ln for ln in ref.splitlines() if "accesses" in ln]
+        assert accesses
+        assert accesses == [
+            ln for ln in default.splitlines() if "accesses" in ln
+        ]
 
-    def test_unknown_kernel_exits_14(self, capsys):
-        assert main(["predict", *FAST, "--kernel", "quantum"]) == 14
-        err = capsys.readouterr().err
-        assert "quantum" in err
-
-    def test_unknown_env_kernel_exits_14(self, monkeypatch):
+    def test_unknown_kernel_exits_14(self, capsys, monkeypatch):
         monkeypatch.setenv(KERNEL_ENV_VAR, "quantum")
         assert main(["predict", *FAST]) == 14
+        err = capsys.readouterr().err
+        assert "UnknownKernelError" in err and "quantum" in err
+        assert "numpy_batched, reference" in err
+
+    @pytest.mark.parametrize("command", ["predict", "cluster"])
+    def test_kernel_flag_is_gone(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--kernel", "reference"])
+        assert excinfo.value.code == 2
+        assert "--kernel" in capsys.readouterr().err
+
+    def test_unknown_env_kernel_exits_14(self, monkeypatch):
+        """Every command that counts checks the selection up front."""
+        monkeypatch.setenv(KERNEL_ENV_VAR, "quantum")
+        for command in ("measure", "compare", "tune-pagesize", "scrub"):
+            assert main([command, *FAST]) == 14, command
 
     def test_malformed_env_cap_exits_3(self, monkeypatch, capsys):
         monkeypatch.setenv(MEMORY_CAP_ENV_VAR, "64MiB")

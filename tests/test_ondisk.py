@@ -13,7 +13,7 @@ from repro.disk.faults import FaultInjector
 from repro.disk.pagefile import PointFile
 from repro.errors import TransientReadError
 from repro.ondisk.builder import OnDiskBuilder
-from repro.ondisk.measure import measure_knn, sphere_accesses
+from repro.ondisk.measure import measure_knn
 from repro.rtree.tree import RTree
 from repro.workload.queries import density_biased_knn_workload
 
@@ -122,7 +122,9 @@ class TestMeasurement:
 
     def test_measure_equals_sphere_counts(self, built, workload):
         measured = measure_knn(built, workload)
-        counted = sphere_accesses(built, workload)
+        counted = built.tree.leaf_accesses_for_radius(
+            workload.queries, workload.radii
+        )
         assert np.array_equal(measured.per_query, counted)
 
     def test_query_io_charged_per_leaf(self, built, workload):
