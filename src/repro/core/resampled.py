@@ -200,14 +200,13 @@ class ResampledModel:
                 area = areas[area_idx]
                 points = area.read_all()
                 ids = np.arange(points.shape[0], dtype=np.int64)
-                root = build_subtree(
+                layout = build_subtree(
                     points, ids, upper.leaf_level, leaf.virtual_n, topology,
                     self.config,
                 )
-                for node in root.iter_leaves():
-                    if node.mbr is not None:
-                        leaf_lower.append(node.mbr.lower)
-                        leaf_upper.append(node.mbr.upper)
+                full = layout.full
+                leaf_lower.append(layout.lower[full])
+                leaf_upper.append(layout.upper[full])
             if ck is not None:
                 if built:
                     # Skipping an empty leaf is free and idempotent; only
@@ -226,7 +225,7 @@ class ResampledModel:
 
         if leaf_lower:
             geometry = LeafGeometry.from_corners(
-                np.stack(leaf_lower), np.stack(leaf_upper)
+                np.concatenate(leaf_lower), np.concatenate(leaf_upper)
             )
         else:
             geometry = LeafGeometry.empty(file.dim)

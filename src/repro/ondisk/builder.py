@@ -221,50 +221,18 @@ class OnDiskBuilder:
             assert node is not None
             return node
         points = file.read_range(start, stop)
-        n = stop - start
-        local_root = build_subtree(
-            points, np.arange(n, dtype=np.int64), level, n, topology, self.config
+        layout = build_subtree(
+            points, np.arange(stop - start, dtype=np.int64), level,
+            stop - start, topology, self.config,
         )
-        reordered = np.empty_like(points)
-        global_root, cursor = self._materialize(
-            local_root, points, reordered, start, start
-        )
-        assert cursor == stop
-        file.write_range_atomic(start, reordered)
+        # Every page is a slice of ``layout.order``, so the region's
+        # points in page order are one gather, and its ids are the file
+        # positions they land on.
+        global_root = layout.graph(np.arange(start, stop, dtype=np.int64))
+        file.write_range_atomic(start, points[layout.order])
         if log is not None:
             log.record(key, global_root)
         return global_root
-
-    def _materialize(
-        self,
-        node: Node,
-        points: np.ndarray,
-        reordered: np.ndarray,
-        region_start: int,
-        cursor: int,
-    ) -> tuple[Node, int]:
-        """Renumber a local subtree to global, physically ordered ids."""
-        if node.is_leaf:
-            count = node.n_points
-            offset = cursor - region_start
-            reordered[offset : offset + count] = points[node.point_ids]
-            ids = np.arange(cursor, cursor + count, dtype=np.int64)
-            return (
-                LeafNode(point_ids=ids, mbr=node.mbr, level=node.level,
-                         virtual_n=node.virtual_n),
-                cursor + count,
-            )
-        children: list[Node] = []
-        for child in node.children:
-            new_child, cursor = self._materialize(
-                child, points, reordered, region_start, cursor
-            )
-            children.append(new_child)
-        return (
-            InternalNode(children=children, mbr=node.mbr, level=node.level,
-                         n_points=node.n_points),
-            cursor,
-        )
 
     # ------------------------------------------------------------------
 

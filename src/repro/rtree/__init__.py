@@ -1,6 +1,6 @@
 """R-tree substrate: geometry, bulk loading, and search."""
 
-from .bulkload import BulkLoadConfig, build_subtree, build_tree
+from .bulkload import BulkLoadConfig, PageLayout, build_subtree, build_tree
 from .geometry import MBR
 from .io import load_tree, load_workload, save_tree, save_workload
 from .kdb import KDBTree
@@ -19,6 +19,7 @@ from .tree import KNNResult, RTree, TreeQueries
 
 __all__ = [
     "BulkLoadConfig",
+    "PageLayout",
     "build_subtree",
     "build_tree",
     "MBR",

@@ -10,7 +10,7 @@ children by recursive binary splits along the maximum-variance dimension
 Mini-index construction (Section 3.1 of the paper) must reproduce the
 *full* index's structure -- height, node counts, fanouts -- while
 holding only a sample.  We achieve that exactly by threading a *virtual*
-point count through the recursion: fanouts and division sizes are
+point count through the walk: fanouts and division sizes are
 computed on the virtual (full-data) counts from the shared
 :class:`~repro.core.topology.Topology`, while the sample points are cut
 at proportional ranks.  With ``virtual_n == len(points)`` this reduces
@@ -27,14 +27,9 @@ import numpy as np
 from ..core.topology import Topology, split_child_counts, subtree_capacity
 from .geometry import MBR
 from .node import InternalNode, LeafNode, Node
-from .split import (
-    DimensionRule,
-    max_variance_dimension,
-    midpoint_rank,
-    partition_ids_at_rank,
-)
+from .split import DimensionRule, max_variance_dimension, midpoint_rank
 
-__all__ = ["BulkLoadConfig", "build_tree", "build_subtree"]
+__all__ = ["BulkLoadConfig", "PageLayout", "build_tree", "build_subtree"]
 
 
 @dataclass(frozen=True)
@@ -56,6 +51,71 @@ class BulkLoadConfig:
             raise ValueError(f"unknown rank_mode {self.rank_mode!r}")
 
 
+@dataclass(frozen=True)
+class PageLayout:
+    """A bulk-loaded subtree as slices of one id array.
+
+    Every node's ids are one contiguous slice of ``order``: node ``j``
+    at level ``stop_level + i`` holds
+    ``order[bounds[i][j]:bounds[i][j + 1]]``, so ``bounds[0]`` cuts the
+    leaves and ``bounds[-1]`` is the root's ``[0, n]``.  ``fanouts[i]``
+    counts the children of each node at level ``stop_level + 1 + i``;
+    the children of one node are consecutive one level down, in
+    depth-first order.  ``lower`` / ``upper`` are the leaves' ``(k, d)``
+    corners (``+inf`` / ``-inf`` rows for a leaf with no points) and
+    ``virtual_n`` their full-dataset point quotas.
+    """
+
+    order: np.ndarray
+    bounds: tuple[np.ndarray, ...]
+    fanouts: tuple[np.ndarray, ...]
+    virtual_n: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    stop_level: int
+
+    @property
+    def full(self) -> np.ndarray:
+        """Which leaves hold points (the rows of real corners)."""
+        return self.bounds[0][1:] > self.bounds[0][:-1]
+
+    def graph(self, ids: np.ndarray | None = None) -> Node:
+        """The subtree as a node graph, leaves holding slices of ``ids``
+        (default ``order``; the on-disk builder passes file positions).
+
+        A parent's corners are the min and max of its children's rows,
+        one ``reduceat`` per level; the empty rows' ``±inf`` never win,
+        and a node with no points keeps ``mbr=None``.
+        """
+        ids = self.order if ids is None else ids
+        edges = self.bounds[0].tolist()
+        lower, upper = self.lower, self.upper
+        nodes: list[Node] = [
+            LeafNode(
+                point_ids=ids[a:b],
+                mbr=MBR._unchecked(lower[j], upper[j]) if b > a else None,
+                level=self.stop_level, virtual_n=virtual,
+            )
+            for j, (a, b, virtual) in enumerate(
+                zip(edges, edges[1:], self.virtual_n.tolist()))
+        ]
+        for i, fanout in enumerate(self.fanouts, start=1):
+            starts = np.cumsum(fanout) - fanout
+            lower = np.minimum.reduceat(lower, starts, axis=0)
+            upper = np.maximum.reduceat(upper, starts, axis=0)
+            sizes = np.diff(self.bounds[i]).tolist()
+            nodes = [
+                InternalNode(
+                    children=nodes[first:first + count],
+                    mbr=MBR._unchecked(lower[j], upper[j]) if size else None,
+                    level=self.stop_level + i, n_points=size,
+                )
+                for j, (first, count, size) in enumerate(
+                    zip(starts.tolist(), fanout.tolist(), sizes))
+            ]
+        return nodes[0]
+
+
 def build_tree(
     points: np.ndarray,
     topology: Topology,
@@ -72,7 +132,7 @@ def build_tree(
     become leaves holding all their points, with their full-dataset
     point quota recorded in ``virtual_n``.  The returned root is an
     object graph of :class:`~repro.rtree.node.InternalNode` /
-    ``LeafNode``.
+    ``LeafNode`` (:meth:`PageLayout.graph`).
     """
     config = config or BulkLoadConfig()
     points = np.asarray(points, dtype=np.float64)
@@ -89,7 +149,7 @@ def build_tree(
     return build_subtree(
         points, ids, topology.height, topology.n_points, topology, config,
         stop_level=stop_level,
-    )
+    ).graph()
 
 
 def build_subtree(
@@ -101,169 +161,131 @@ def build_subtree(
     config: BulkLoadConfig | None = None,
     *,
     stop_level: int = 1,
-) -> Node:
+) -> PageLayout:
     """Bulk load the subtree rooted at ``level`` over the given ids.
 
-    The bulk-loading recursion is self-contained per node, so a lower
-    tree (Section 4.4) over a resampled point set is built by calling
-    this directly with the upper-tree leaf's level and virtual count.
+    Each node's division is self-contained, so a lower tree
+    (Section 4.4) over a resampled point set is built by calling this
+    directly with the upper-tree leaf's level and virtual count.
 
-    The partition walk builds the nodes without boxes; the boxes come
-    afterwards from one pass per level (:func:`_bound_levels`), not
-    from per-node point scans and unions.
+    The walk goes one level at a time over a copy of ``ids``: each
+    binary split permutes its own slice in place, so a node's ids end
+    up as one contiguous slice and no per-node arrays or nodes are
+    made.  Leaf corners come from one min and one max ``reduceat`` over
+    the reordered points; :meth:`PageLayout.graph` builds the nodes for
+    callers that want them.
     """
     config = config or BulkLoadConfig()
-    levels: list[list[Node]] = [[] for _ in range(level - stop_level + 1)]
-    root = _grow(points, ids, level, n_virtual, topology, config, stop_level,
-                 levels)
-    _bound_levels(points, levels)
-    return root
+    order = np.array(ids)  # a copy: the walk permutes it in place
+    n = order.shape[0]
+    bounds = [[0, n]]
+    virtual = [n_virtual]
+    fanouts = []
+    for parent_level in range(level, stop_level, -1):
+        child_cap = subtree_capacity(parent_level - 1, topology.c_data,
+                                     topology.c_dir)
+        edges: list[int] = []
+        child_virtual: list[int] = []
+        fanout: list[int] = []
+        for a, b, node_virtual in zip(bounds[-1], bounds[-1][1:], virtual):
+            parts = _divide(points, order, a, b, node_virtual, child_cap,
+                            config)
+            fanout.append(len(parts))
+            for start, part_virtual in parts:
+                edges.append(start)
+                child_virtual.append(part_virtual)
+        bounds.append(edges + [n])
+        virtual = child_virtual
+        fanouts.append(np.array(fanout, dtype=np.int64))
 
-
-def _grow(
-    points: np.ndarray,
-    ids: np.ndarray,
-    level: int,
-    n_virtual: int,
-    topology: Topology,
-    config: BulkLoadConfig,
-    stop_level: int,
-    levels: list[list[Node]],
-) -> Node:
-    """The partition walk: nodes without boxes, listed per level.
-
-    ``levels[i]`` receives the nodes at level ``stop_level + i`` in
-    depth-first order, so the children of one node are consecutive in
-    the list one level down.
-    """
-    node: Node
-    if level == stop_level:
-        node = LeafNode(point_ids=ids, mbr=None, level=level, virtual_n=n_virtual)
-    else:
-        children = [
-            _grow(points, part_ids, level - 1, part_virtual, topology, config,
-                  stop_level, levels)
-            for part_ids, part_virtual in _divide(
-                points, ids, level, n_virtual, topology, config
-            )
-        ]
-        node = InternalNode(
-            children=children, mbr=None, level=level,
-            n_points=sum(child.n_points for child in children),
-        )
-    levels[level - stop_level].append(node)
-    return node
-
-
-def _bound_levels(points: np.ndarray, levels: list[list[Node]]) -> None:
-    """Set every node's box: leaves from their points, parents from
-    their children's corners, one min and one max ``reduceat`` per level.
-
-    An empty node's corners are ``+inf`` / ``-inf``, which no minimum or
-    maximum keeps, so a parent's box is the union of its non-empty
-    children's boxes; a node with no points keeps ``mbr=None``.
-    """
-    leaves = levels[0]
-    dim = points.shape[1]
-    sizes = np.array([leaf.n_points for leaf in leaves], dtype=np.int64)
-    lower = np.full((len(leaves), dim), np.inf)
-    upper = np.full((len(leaves), dim), -np.inf)
-    full = sizes > 0
+    leaf_edges = np.array(bounds[-1], dtype=np.int64)
+    full = leaf_edges[1:] > leaf_edges[:-1]
+    lower = np.full((full.shape[0], points.shape[1]), np.inf)
+    upper = np.full((full.shape[0], points.shape[1]), -np.inf)
     if np.any(full):
-        rows = points[np.concatenate([leaf.point_ids for leaf in leaves])]
-        starts = (np.cumsum(sizes) - sizes)[full]
+        rows = points.take(order, axis=0)
+        starts = leaf_edges[:-1][full]
         # ``+ 0.0`` as in ``mbr_of_points``: one signed zero per corner.
         lower[full] = np.minimum.reduceat(rows, starts, axis=0) + 0.0
         upper[full] = np.maximum.reduceat(rows, starts, axis=0) + 0.0
-    _set_boxes(leaves, full, lower, upper)
-    for nodes in levels[1:]:
-        fanouts = np.array([node.fanout for node in nodes], dtype=np.int64)
-        starts = np.cumsum(fanouts) - fanouts
-        lower = np.minimum.reduceat(lower, starts, axis=0)
-        upper = np.maximum.reduceat(upper, starts, axis=0)
-        full = np.array([node.n_points > 0 for node in nodes], dtype=bool)
-        _set_boxes(nodes, full, lower, upper)
-
-
-def _set_boxes(
-    nodes: list[Node], full: np.ndarray, lower: np.ndarray, upper: np.ndarray
-) -> None:
-    for i in np.flatnonzero(full).tolist():
-        nodes[i].mbr = MBR._unchecked(lower[i], upper[i])
+    return PageLayout(
+        order=order,
+        bounds=(leaf_edges,) + tuple(
+            np.array(edges, dtype=np.int64) for edges in reversed(bounds[:-1])),
+        fanouts=tuple(reversed(fanouts)),
+        virtual_n=np.array(virtual, dtype=np.int64),
+        lower=lower,
+        upper=upper,
+        stop_level=stop_level,
+    )
 
 
 def _divide(
     points: np.ndarray,
-    ids: np.ndarray,
-    level: int,
+    order: np.ndarray,
+    start: int,
+    stop: int,
     n_virtual: int,
-    topology: Topology,
+    child_cap: int,
     config: BulkLoadConfig,
-) -> list[tuple[np.ndarray, int]]:
-    """Divide a node's ids into its children's shares by binary splits."""
-    child_cap = subtree_capacity(level - 1, topology.c_data, topology.c_dir)
+) -> list[tuple[int, int]]:
+    """Divide a node's slice ``order[start:stop]`` among its children.
+
+    The binary splits permute the slice in place, with the same
+    ``dimension_rule`` and ``argpartition`` (Hoare's find) the per-node
+    loader runs on an id array.  Returns each child's first position
+    and virtual count, left to right.
+    """
     fanout = max(1, math.ceil(n_virtual / child_cap))
-    parts: list[tuple[np.ndarray, int]] = []
-    pending: list[tuple[np.ndarray, int, int]] = [(ids, n_virtual, fanout)]
+    parts: list[tuple[int, int]] = []
+    pending = [(start, stop, n_virtual, fanout)]
     while pending:
-        part_ids, part_virtual, part_fanout = pending.pop()
+        a, b, part_virtual, part_fanout = pending.pop()
         if part_fanout == 1:
-            parts.append((part_ids, part_virtual))
+            parts.append((a, part_virtual))
             continue
+        f_left = part_fanout // 2
+        f_right = part_fanout - f_left
         left_virtual, right_virtual = split_child_counts(
             part_virtual, part_fanout, child_cap
         )
-        rank = _split_rank(
-            points, part_ids, part_virtual, left_virtual, part_fanout, child_cap, config
-        )
-        dim = config.dimension_rule(points[part_ids])
-        left_ids, right_ids = partition_ids_at_rank(points, part_ids, dim, rank)
-        if part_ids.shape[0] == part_virtual:
+        n_actual = b - a
+        part = order[a:b]
+        rows = None
+        if config.rank_mode == "midpoint" and n_actual > 0:
+            rows = points.take(part, axis=0)
+            dim = config.dimension_rule(rows)
+            rank = midpoint_rank(points, part, dim)
+        else:
+            # Proportional mapping of the virtual division onto the sample.
+            rank = round(n_actual * left_virtual / part_virtual)
+        if n_actual == part_virtual:
+            # Unsampled build: enforce the capacity constraints exactly so
+            # no subtree overflows (matters only for midpoint mode; the
+            # balanced division already satisfies them).
+            rank = min(rank, f_left * child_cap)
+            rank = max(rank, n_actual - f_right * child_cap)
+        rank = max(0, min(rank, n_actual))
+        if 0 < rank < n_actual:
+            if rows is None:
+                rows = points.take(part, axis=0)
+                dim = config.dimension_rule(rows)
+            part[:] = part[rows[:, dim].argpartition(rank - 1)]
+        if n_actual == part_virtual:
             # Unsampled build: virtual counts must track the actual
             # division (they differ under midpoint splits) so deeper
             # fanouts are computed from the true subtree sizes.
             left_virtual, right_virtual = rank, part_virtual - rank
-        elif config.rank_mode == "midpoint" and part_ids.shape[0] > 0:
+        elif config.rank_mode == "midpoint" and n_actual > 0:
             # Sampled midpoint build: scale the observed split fraction
             # up to the virtual counts (clamped to the capacity bounds),
             # so the mini-index mirrors the midpoint index's structure
             # instead of VAMSplit's balanced one.
-            f_left = part_fanout // 2
-            f_right = part_fanout - f_left
-            left_virtual = round(part_virtual * rank / part_ids.shape[0])
+            left_virtual = round(part_virtual * rank / n_actual)
             left_virtual = min(left_virtual, f_left * child_cap)
             left_virtual = max(left_virtual, part_virtual - f_right * child_cap)
             left_virtual = max(min(left_virtual, part_virtual - f_right), f_left)
             right_virtual = part_virtual - left_virtual
-        f_left = part_fanout // 2
-        pending.append((right_ids, right_virtual, part_fanout - f_left))
-        pending.append((left_ids, left_virtual, f_left))
+        pending.append((a + rank, b, right_virtual, f_right))
+        pending.append((a, a + rank, left_virtual, f_left))
     return parts
-
-
-def _split_rank(
-    points: np.ndarray,
-    ids: np.ndarray,
-    n_virtual: int,
-    left_virtual: int,
-    fanout: int,
-    child_cap: int,
-    config: BulkLoadConfig,
-) -> int:
-    """Actual-point rank at which to cut ``ids`` for this binary split."""
-    n_actual = ids.shape[0]
-    if config.rank_mode == "midpoint" and n_actual > 0:
-        dim = config.dimension_rule(points[ids])
-        rank = midpoint_rank(points, ids, dim)
-    else:
-        # Proportional mapping of the virtual division onto the sample.
-        rank = round(n_actual * left_virtual / n_virtual)
-    if n_actual == n_virtual:
-        # Unsampled build: enforce the capacity constraints exactly so
-        # no subtree overflows (matters only for midpoint mode; the
-        # balanced division already satisfies them).
-        f_left = fanout // 2
-        f_right = fanout - f_left
-        rank = min(rank, f_left * child_cap)
-        rank = max(rank, n_actual - f_right * child_cap)
-    return max(0, min(rank, n_actual))

@@ -22,7 +22,6 @@ __all__ = [
     "max_variance_dimension",
     "max_extent_dimension",
     "DimensionRule",
-    "partition_ids_at_rank",
     "midpoint_rank",
 ]
 
@@ -41,7 +40,7 @@ def max_variance_dimension(points: np.ndarray) -> int:
         return 0
     deviation = points - np.add.reduce(points, axis=0, keepdims=True) / n
     np.square(deviation, out=deviation)
-    return int(np.argmax(np.add.reduce(deviation, axis=0) / n))
+    return int((np.add.reduce(deviation, axis=0) / n).argmax())
 
 
 def max_extent_dimension(points: np.ndarray) -> int:
@@ -49,26 +48,6 @@ def max_extent_dimension(points: np.ndarray) -> int:
     if points.shape[0] == 0:
         return 0
     return int(np.argmax(points.max(axis=0) - points.min(axis=0)))
-
-
-def partition_ids_at_rank(
-    points: np.ndarray, ids: np.ndarray, dim: int, rank: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split ``ids`` so the ``rank`` smallest coordinates in ``dim`` go left.
-
-    ``points`` is the global ``(N, d)`` matrix; ``ids`` indexes into it.
-    Equivalent to sorting ``ids`` by ``points[ids, dim]`` and cutting at
-    ``rank``, but in expected linear time via quickselect.
-    """
-    n = ids.shape[0]
-    if not 0 <= rank <= n:
-        raise ValueError(f"rank {rank} outside [0, {n}]")
-    if rank == 0:
-        return ids[:0], ids
-    if rank == n:
-        return ids, ids[:0]
-    order = np.argpartition(points[ids, dim], rank - 1)
-    return ids[order[:rank]], ids[order[rank:]]
 
 
 def midpoint_rank(points: np.ndarray, ids: np.ndarray, dim: int) -> int:

@@ -221,8 +221,8 @@ class RTree(TreeQueries):
                     seen.append(node.point_ids)
                     pts = self.points[node.point_ids]
                     assert node.mbr is not None
-                    assert np.allclose(node.mbr.lower, pts.min(axis=0))
-                    assert np.allclose(node.mbr.upper, pts.max(axis=0))
+                    assert np.array_equal(node.mbr.lower, pts.min(axis=0))
+                    assert np.array_equal(node.mbr.upper, pts.max(axis=0))
                 else:
                     assert node.mbr is None
             else:

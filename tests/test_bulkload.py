@@ -11,7 +11,11 @@ from repro.core.topology import Topology
 from repro.rtree.bulkload import BulkLoadConfig, build_subtree, build_tree
 from repro.rtree.split import max_extent_dimension, max_variance_dimension
 from repro.rtree.tree import RTree
-from .bulkload_oracle import assert_same_graph, build_subtree_recursive
+from .bulkload_oracle import (
+    assert_same_graph,
+    assert_same_layout,
+    build_subtree_recursive,
+)
 
 
 class TestFullBuild:
@@ -143,7 +147,7 @@ class TestBuildSubtree:
         topo = Topology(clustered_points.shape[0], 32, 16)
         n = 400
         ids = np.arange(n, dtype=np.int64)
-        root = build_subtree(clustered_points[:n], ids, 2, n, topo)
+        root = build_subtree(clustered_points[:n], ids, 2, n, topo).graph()
         assert root.level == 2
         assert root.n_points == n
         leaf_sizes = [l.n_points for l in root.iter_leaves()]
@@ -207,19 +211,29 @@ def _subtree_case(draw):
 
 
 class TestMatchesRecursiveOracle:
-    """``build_subtree`` sets boxes per level after the partition walk;
-    the node graph must equal the per-node recursive loader's."""
+    """``build_subtree`` permutes one id array in place and reads the
+    leaf corners off it; its flat result and the node graph built from
+    it must equal the per-node recursive loader's."""
 
-    @given(_subtree_case())
-    @settings(max_examples=150, deadline=None)
-    def test_same_graph_as_recursive_build(self, case):
-        points, ids, level, n_virtual, topology, config, stop_level = case
+    @staticmethod
+    def _assert_matches(points, ids, level, n_virtual, topology, config=None,
+                        stop_level=1):
         got = build_subtree(points, ids, level, n_virtual, topology, config,
                             stop_level=stop_level)
         want = build_subtree_recursive(points, ids, level, n_virtual,
                                        topology, config,
                                        stop_level=stop_level)
-        assert_same_graph(got, want)
+        assert_same_layout(got, want, points.shape[1])
+        graph = got.graph()
+        assert_same_graph(graph, want)
+        return got, graph
+
+    @given(_subtree_case())
+    @settings(max_examples=150, deadline=None)
+    def test_same_graph_as_recursive_build(self, case):
+        points, ids, level, n_virtual, topology, config, stop_level = case
+        self._assert_matches(points, ids, level, n_virtual, topology, config,
+                             stop_level)
 
     @pytest.mark.parametrize("rank_mode", ["balanced", "midpoint"])
     @pytest.mark.parametrize("rule", [max_variance_dimension,
@@ -230,9 +244,24 @@ class TestMatchesRecursiveOracle:
         config = BulkLoadConfig(dimension_rule=rule, rank_mode=rank_mode)
         topo = Topology(clustered_points.shape[0], 32, 16)
         ids = np.arange(clustered_points.shape[0], dtype=np.int64)
-        args = (clustered_points, ids, topo.height, topo.n_points, topo, config)
-        assert_same_graph(build_subtree(*args, stop_level=stop_level),
-                          build_subtree_recursive(*args, stop_level=stop_level))
+        self._assert_matches(clustered_points, ids, topo.height,
+                             topo.n_points, topo, config, stop_level)
+
+    @pytest.mark.parametrize("rank_mode", ["balanced", "midpoint"])
+    @pytest.mark.parametrize("rule", [max_variance_dimension,
+                                      max_extent_dimension])
+    @pytest.mark.parametrize("stop_level", [1, 2])
+    def test_sampled_clustered_build(self, clustered_points, rank_mode,
+                                     rule, stop_level):
+        n = clustered_points.shape[0]
+        sample = clustered_points[np.random.default_rng(9).choice(
+            n, n // 6, replace=False)]
+        config = BulkLoadConfig(dimension_rule=rule, rank_mode=rank_mode)
+        topo = Topology(n, 32, 16)
+        ids = np.arange(sample.shape[0], dtype=np.int64)
+        layout, _ = self._assert_matches(sample, ids, topo.height, n, topo,
+                                         config, stop_level)
+        assert layout.virtual_n.sum() == n
 
     @pytest.mark.parametrize("rank_mode", ["balanced", "midpoint"])
     def test_sparse_sample_with_empty_leaves(self, clustered_points, rank_mode):
@@ -242,18 +271,45 @@ class TestMatchesRecursiveOracle:
         topo = Topology(n, 32, 16)
         config = BulkLoadConfig(rank_mode=rank_mode)
         ids = np.arange(3, dtype=np.int64)
-        got = build_subtree(sample, ids, topo.height, n, topo, config)
+        layout, got = self._assert_matches(sample, ids, topo.height, n, topo,
+                                           config)
+        assert not layout.full.all()
+        assert np.isinf(layout.lower[~layout.full]).all()
         assert any(leaf.mbr is None for leaf in got.iter_leaves())
         assert any(node.mbr is None for node in got.children
                    if not node.is_leaf)
-        assert_same_graph(got, build_subtree_recursive(
-            sample, ids, topo.height, n, topo, config))
 
     def test_all_empty_subtree(self):
         topo = Topology(500, 4, 4)
         points = np.empty((0, 3))
         ids = np.empty(0, dtype=np.int64)
-        got = build_subtree(points, ids, 3, 60, topo)
+        layout, got = self._assert_matches(points, ids, 3, 60, topo)
         assert got.mbr is None and got.n_points == 0
-        assert_same_graph(got, build_subtree_recursive(points, ids, 3, 60,
-                                                       topo))
+        assert layout.order.shape == (0,) and not layout.full.any()
+
+    def test_ids_are_not_permuted_in_place(self, clustered_points):
+        topo = Topology(clustered_points.shape[0], 32, 16)
+        ids = np.arange(clustered_points.shape[0], dtype=np.int64)[::-1].copy()
+        before = ids.copy()
+        layout = build_subtree(clustered_points, ids, topo.height,
+                               topo.n_points, topo)
+        assert np.array_equal(ids, before)
+        assert not np.array_equal(layout.order, before)
+
+    def test_graph_over_other_ids(self, clustered_points):
+        # The on-disk builder numbers a region's leaves by file position.
+        n = 400
+        topo = Topology(clustered_points.shape[0], 32, 16)
+        layout = build_subtree(clustered_points[:n],
+                               np.arange(n, dtype=np.int64), 2, n, topo)
+        positions = np.arange(1000, 1000 + n, dtype=np.int64)
+        edges = layout.bounds[0]
+        pairs = zip(layout.graph(positions).iter_leaves(),
+                    layout.graph().iter_leaves())
+        for j, (mine, theirs) in enumerate(pairs):
+            assert np.array_equal(mine.point_ids,
+                                  positions[edges[j]:edges[j + 1]])
+            assert np.array_equal(theirs.point_ids,
+                                  layout.order[edges[j]:edges[j + 1]])
+            assert mine.mbr.lower.tobytes() == theirs.mbr.lower.tobytes()
+            assert mine.mbr.upper.tobytes() == theirs.mbr.upper.tobytes()

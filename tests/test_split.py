@@ -11,8 +11,8 @@ from repro.rtree.split import (
     max_extent_dimension,
     max_variance_dimension,
     midpoint_rank,
-    partition_ids_at_rank,
 )
+from .bulkload_oracle import partition_ids_at_rank
 
 
 class TestDimensionRules:
@@ -49,6 +49,9 @@ class TestDimensionRules:
 
 
 class TestPartitionAtRank:
+    """The id-array split of the oracle loader in
+    ``tests/bulkload_oracle.py``."""
+
     def test_matches_sorted_cut(self, rng):
         points = rng.random((100, 3))
         ids = np.arange(100, dtype=np.int64)

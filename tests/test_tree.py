@@ -143,3 +143,24 @@ class TestLeafEnumeration:
             assert counts[i] == tree.count_leaves_intersecting_sphere(
                 queries[i], radii[i]
             )
+
+
+class TestValidate:
+    @pytest.mark.parametrize("corner", ["lower", "upper"])
+    def test_box_off_by_one_ulp_fails(self, clustered_points, corner):
+        # A leaf box must equal its points' min and max exactly.  Shrunk
+        # by one ulp it still sits inside its parent, and ``allclose``
+        # would let it pass.
+        from repro.rtree.geometry import MBR
+
+        tree = RTree.bulk_load(clustered_points, c_data=32, c_dir=16)
+        tree.validate()
+        leaf = tree.leaves[3]
+        lower, upper = leaf.mbr.lower.copy(), leaf.mbr.upper.copy()
+        if corner == "lower":
+            lower[0] = np.nextafter(lower[0], np.inf)
+        else:
+            upper[0] = np.nextafter(upper[0], -np.inf)
+        leaf.mbr = MBR(lower, upper)
+        with pytest.raises(AssertionError):
+            tree.validate()
