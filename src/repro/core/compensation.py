@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..kernels.geometry import LeafGeometry
+from ..kernels.geometry import LeafGeometry, grow_centered
 
 __all__ = [
     "volume_shrinkage",
@@ -79,10 +79,7 @@ def grow_corners(
     Each box is scaled about its own center by the per-side factor; with
     ``zeta == 1`` the corners are returned unchanged.
     """
-    factor = compensation_side_factor(capacity, zeta)
-    center = (lower + upper) / 2.0
-    half = (upper - lower) / 2.0 * factor
-    return center - half, center + half
+    return grow_centered(lower, upper, compensation_side_factor(capacity, zeta))
 
 
 def grow_geometry(

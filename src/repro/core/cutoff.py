@@ -137,13 +137,15 @@ class CutoffModel:
                            file.disk.cost - start_cost)
         upper = build_upper_tree(sample, topology, h_upper, config=self.config)
 
+        grown = upper.geometry
         leaf_lower: list[np.ndarray] = []
         leaf_upper: list[np.ndarray] = []
-        for leaf in upper.leaves:
-            if leaf.is_empty or leaf.virtual_n < 1:
+        for lower, upper_corner, virtual in zip(
+                grown.lower, grown.upper, grown.virtual_n.tolist()):
+            if virtual < 1:
                 continue
             lo, hi = synthesize_uniform_leaves(
-                leaf.lower, leaf.upper, upper.leaf_level, leaf.virtual_n, topology
+                lower, upper_corner, upper.leaf_level, virtual, topology
             )
             leaf_lower.append(lo)
             leaf_upper.append(hi)

@@ -16,20 +16,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import InputValidationError
 from ..kernels.geometry import LeafGeometry
-from ..rtree.bulkload import BulkLoadConfig, build_tree
-from ..rtree.node import LeafNode
+from ..rtree.bulkload import BulkLoadConfig, PageLayout, build_tree
 from .compensation import compensation_side_factor
 from .topology import Topology
 
-__all__ = ["UpperLeaf", "UpperTree", "build_upper_tree", "resolve_h_upper"]
+__all__ = ["UpperTree", "build_upper_tree", "resolve_h_upper"]
 
 
 def resolve_h_upper(topology: Topology, h_upper: int | None, memory: int) -> int:
     """The upper-tree height a phased predictor should use.
 
     An explicit ``h_upper`` is validated against ``[2, height - 1]``
-    (the phased regime of Section 4.5).  Otherwise the Section 4.5.2
+    (the phased regime of Section 4.5); one outside it, or any for a
+    tree shorter than 3, raises
+    :class:`~repro.errors.InputValidationError`.  Otherwise the Section 4.5.2
     heuristic chooses it, degrading gracefully at the edges: a tree too
     short to phase (height < 3) or a memory budget covering the whole
     dataset collapses to ``h_upper == height`` -- the single-phase
@@ -37,8 +39,14 @@ def resolve_h_upper(topology: Topology, h_upper: int | None, memory: int) -> int
     feasibility bounds falls back to the shallowest phased tree.
     """
     if h_upper is not None:
+        if topology.height < 3:
+            raise InputValidationError(
+                f"h_upper {h_upper} given, but a height-{topology.height} "
+                f"tree has no phased h_upper: phasing needs a tree of "
+                f"height 3 or more (h_upper in [2, height - 1])"
+            )
         if not 2 <= h_upper <= topology.height - 1:
-            raise ValueError(
+            raise InputValidationError(
                 f"h_upper {h_upper} outside [2, {topology.height - 1}]"
             )
         return h_upper
@@ -50,32 +58,22 @@ def resolve_h_upper(topology: Topology, h_upper: int | None, memory: int) -> int
         return 2
 
 
-@dataclass
-class UpperLeaf:
-    """One leaf page of the upper tree, after compensation growth.
+@dataclass(frozen=True)
+class UpperTree:
+    """The built upper tree: its page layout, its grown leaf pages and
+    the parameters used.
 
-    ``lower``/``upper`` are the grown corners; ``sample_ids`` index into
-    the upper-tree sample; ``virtual_n`` is the number of *full-dataset*
-    points the corresponding subtree of the on-disk index would hold.
-    Empty leaves (no sample point fell into their quota) have
-    ``lower is None``.
+    ``geometry`` holds the non-empty leaves of ``layout`` (the rows
+    where ``layout.full``), in leaf order, grown by ``growth_factor``:
+    ``n_points`` is each leaf's sample occupancy and ``virtual_n`` the
+    number of *full-dataset* points the corresponding subtree of the
+    on-disk index would hold -- the quantities the lower-tree
+    constructions budget with.  Leaf ``j``'s sample points are
+    ``sample[layout.order[layout.bounds[0][j]:layout.bounds[0][j + 1]]]``.
     """
 
-    lower: np.ndarray | None
-    upper: np.ndarray | None
-    sample_ids: np.ndarray
-    virtual_n: int
-
-    @property
-    def is_empty(self) -> bool:
-        return self.lower is None
-
-
-@dataclass
-class UpperTree:
-    """The built upper tree: grown leaves plus the parameters used."""
-
-    leaves: list[UpperLeaf]
+    layout: PageLayout
+    geometry: LeafGeometry
     sample: np.ndarray
     topology: Topology
     h_upper: int
@@ -89,28 +87,7 @@ class UpperTree:
     @property
     def k(self) -> int:
         """Number of upper-tree leaf pages (the paper's ``k``)."""
-        return len(self.leaves)
-
-    def grown_corners(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked corners of the non-empty grown leaves."""
-        return self.geometry().corners
-
-    def geometry(self) -> LeafGeometry:
-        """The non-empty grown leaves as a counting-kernel geometry.
-
-        ``n_points`` is each leaf's sample occupancy and ``virtual_n``
-        its full-dataset point quota -- the quantities the lower-tree
-        constructions budget with.
-        """
-        live = [leaf for leaf in self.leaves if not leaf.is_empty]
-        if not live:
-            return LeafGeometry.empty(int(self.sample.shape[1]))
-        return LeafGeometry(
-            np.stack([leaf.lower for leaf in live]),
-            np.stack([leaf.upper for leaf in live]),
-            np.array([leaf.sample_ids.shape[0] for leaf in live], dtype=np.int64),
-            np.array([leaf.virtual_n for leaf in live], dtype=np.int64),
-        )
+        return int(self.layout.virtual_n.shape[0])
 
 
 def build_upper_tree(
@@ -124,14 +101,15 @@ def build_upper_tree(
 
     The sample's size relative to ``topology.n_points`` defines
     ``sigma_upper``; leaves are grown by
-    ``delta(pts(height - h_upper + 1), sigma_upper)`` as in Section 4.2.
+    ``delta(pts(height - h_upper + 1), sigma_upper)`` as in Section 4.2,
+    all in one array operation.
     """
     sample = np.asarray(sample, dtype=np.float64)
     if not 1 <= h_upper <= topology.height:
         raise ValueError(f"h_upper {h_upper} outside [1, {topology.height}]")
     sigma_upper = min(sample.shape[0] / topology.n_points, 1.0)
     leaf_level = topology.upper_leaf_level(h_upper)
-    root = build_tree(sample, topology, config, stop_level=leaf_level)
+    layout = build_tree(sample, topology, config, stop_level=leaf_level)
 
     page_points = topology.pts(leaf_level)
     if sigma_upper >= 1.0:
@@ -144,21 +122,9 @@ def build_upper_tree(
             # below a 1/C sampling rate (Section 3.3); fall back to the
             # raw sampled geometry rather than failing the prediction.
             factor = 1.0
-
-    leaves: list[UpperLeaf] = []
-    for node in root.iter_leaves():
-        assert isinstance(node, LeafNode)
-        if node.mbr is None:
-            leaves.append(
-                UpperLeaf(None, None, node.point_ids, node.virtual_n)
-            )
-            continue
-        grown = node.mbr.grown(factor)
-        leaves.append(
-            UpperLeaf(grown.lower, grown.upper, node.point_ids, node.virtual_n)
-        )
     return UpperTree(
-        leaves=leaves,
+        layout=layout,
+        geometry=layout.geometry().scaled(factor),
         sample=sample,
         topology=topology,
         h_upper=h_upper,

@@ -153,7 +153,7 @@ class ResampledModel:
             # Degenerate single-phase case (tree too short to phase, or
             # the whole dataset fits in memory): the upper-tree leaves
             # already are the compensated data pages.
-            geometry = upper.geometry()
+            geometry = upper.geometry
             per_query = self._count(geometry, workload)
             return PredictionResult(
                 per_query=per_query,
@@ -191,7 +191,7 @@ class ResampledModel:
             first_leaf = lower_state["done"]
             leaf_lower = list(lower_state["leaf_lower"])
             leaf_upper = list(lower_state["leaf_upper"])
-        for leaf_idx, leaf in enumerate(upper.leaves):
+        for leaf_idx, virtual in enumerate(upper.layout.virtual_n.tolist()):
             if leaf_idx < first_leaf:
                 continue
             area_idx = area_of_leaf[leaf_idx]
@@ -201,7 +201,7 @@ class ResampledModel:
                 points = area.read_all()
                 ids = np.arange(points.shape[0], dtype=np.int64)
                 layout = build_subtree(
-                    points, ids, upper.leaf_level, leaf.virtual_n, topology,
+                    points, ids, upper.leaf_level, virtual, topology,
                     self.config,
                 )
                 full = layout.full
@@ -345,18 +345,15 @@ class ResampledModel:
             rng.bit_generator.state = st["rng_state"]
         else:
             # One spill area per non-empty upper leaf, allocated
-            # consecutively so each later read is one seek + a streak.
-            area_of_leaf = []
-            boxes_lo: list[np.ndarray] = []
-            boxes_hi: list[np.ndarray] = []
-            for leaf in upper.leaves:
-                if leaf.is_empty:
-                    area_of_leaf.append(None)
-                else:
-                    area_of_leaf.append(len(boxes_lo))
-                    boxes_lo.append(leaf.lower)
-                    boxes_hi.append(leaf.upper)
-            n_boxes = len(boxes_lo)
+            # consecutively so each later read is one seek + a streak;
+            # area i is row i of the grown geometry.
+            full = upper.layout.full
+            area_of_leaf = [
+                area if is_full else None
+                for area, is_full in zip(
+                    (np.cumsum(full) - 1).tolist(), full.tolist())
+            ]
+            n_boxes = upper.geometry.k
             if n_boxes == 0:
                 if ck is not None:
                     ck["spill"] = {
@@ -365,8 +362,9 @@ class ResampledModel:
                     }
                 return ([], np.empty((0, dim)), np.empty((0, dim)),
                         area_of_leaf, 0, 0)
-            box_lower = np.stack(boxes_lo)
-            box_upper = np.stack(boxes_hi)
+            # copies: the spill grows these boxes in place
+            box_lower = upper.geometry.lower.copy()
+            box_upper = upper.geometry.upper.copy()
             areas = [
                 PointFile(file.disk, dim, self.memory, retry=file.retry,
                           verify_checksums=file.verify_checksums,

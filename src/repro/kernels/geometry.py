@@ -24,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["LeafGeometry", "ordered_sum_sq"]
+__all__ = ["LeafGeometry", "grow_centered", "ordered_sum_sq"]
 
 
 def ordered_sum_sq(values: np.ndarray) -> np.ndarray:
@@ -37,6 +37,24 @@ def ordered_sum_sq(values: np.ndarray) -> np.ndarray:
     than its parent's.
     """
     return np.cumsum(values * values, axis=-1)[..., -1]
+
+
+def grow_centered(
+    lower: np.ndarray, upper: np.ndarray, side_factor: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scale every box about its center by ``side_factor`` per dimension.
+
+    The one box-growth arithmetic of the package: Theorem 1's
+    compensation and every ``grown``/``scaled`` box go through it.  The
+    *volume* factor ``delta`` corresponds to a per-side factor of
+    ``delta ** (1/d)``.  Factors below 1 shrink; the box center is
+    preserved exactly.
+    """
+    if side_factor < 0:
+        raise ValueError("side_factor must be non-negative")
+    center = (lower + upper) / 2.0
+    half = (upper - lower) / 2.0 * side_factor
+    return center - half, center + half
 
 
 def _corner_matrix(value: np.ndarray, name: str) -> np.ndarray:
@@ -171,13 +189,8 @@ class LeafGeometry:
 
     def scaled(self, side_factor: float) -> "LeafGeometry":
         """Every box scaled about its own center; counts preserved."""
-        if side_factor < 0:
-            raise ValueError("side_factor must be non-negative")
-        center = (self.lower + self.upper) / 2.0
-        half = (self.upper - self.lower) / 2.0 * side_factor
-        return LeafGeometry(
-            center - half, center + half, self.n_points, self.virtual_n
-        )
+        lower, upper = grow_centered(self.lower, self.upper, side_factor)
+        return LeafGeometry(lower, upper, self.n_points, self.virtual_n)
 
     def concatenated(self, other: "LeafGeometry") -> "LeafGeometry":
         """The union page set of two geometries of equal dimension."""

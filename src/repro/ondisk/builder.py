@@ -40,15 +40,17 @@ permute ties.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from ..core.topology import Topology, split_child_counts, subtree_capacity
 from ..disk.accounting import IOCost
 from ..disk.pagefile import PointFile
-from ..rtree.bulkload import BulkLoadConfig, build_subtree
-from ..rtree.node import InternalNode, LeafNode, Node
+from ..errors import InputValidationError
+from ..rtree.bulkload import BulkLoadConfig, PageLayout, build_subtree
+from ..rtree.node import LeafNode
 from ..rtree.tree import RTree
 
 __all__ = ["BuildLog", "OnDiskIndex", "OnDiskBuilder"]
@@ -62,9 +64,9 @@ class BuildLog:
     Each completed unit appends one record -- a single-page charged
     write to a dedicated log page, atomic by construction (torn writes
     need two pages).  The record payload (the unit key, and for region
-    units the serialized subtree layout) is held in process memory, as
-    all simulated-disk payloads are; the charged write is what makes
-    the record's durability *cost* honest.
+    units the region's page layout) is held in process memory, as all
+    simulated-disk payloads are; the charged write is what makes the
+    record's durability *cost* honest.
 
     The charge lands before the in-memory record is added, so a crash
     during the log write simply redoes the unit on resume -- every
@@ -74,7 +76,7 @@ class BuildLog:
     def __init__(self, disk):
         self.disk = disk
         self.start_page = disk.allocate(1)
-        self._done: dict[tuple, Node | None] = {}
+        self._done: dict[tuple, PageLayout | None] = {}
 
     def __contains__(self, key: tuple) -> bool:
         return key in self._done
@@ -82,47 +84,51 @@ class BuildLog:
     def __len__(self) -> int:
         return len(self._done)
 
-    def node(self, key: tuple) -> Node | None:
-        """The subtree recorded for a completed region unit."""
+    def layout(self, key: tuple) -> PageLayout | None:
+        """The page layout recorded for a completed region unit."""
         return self._done[key]
 
-    def record(self, key: tuple, node: Node | None = None) -> None:
+    def record(self, key: tuple, layout: PageLayout | None = None) -> None:
         self.disk.drop_head()
         self.disk.write(self.start_page, 1)
-        self._done[key] = node
+        self._done[key] = layout
 
 
 @dataclass
 class OnDiskIndex:
-    """A built on-disk index: the queryable tree, its file, build cost."""
+    """A built on-disk index: the queryable tree, its file, build cost.
+
+    The tree's layout is in file order: its ``order`` is
+    ``arange(n)``, so every leaf's ids are the file positions of its
+    points.
+    """
 
     tree: RTree
     file: PointFile
     build_cost: IOCost
 
-    def __post_init__(self) -> None:
-        self._leaf_pages: dict[int, tuple[int, int]] | None = None
-
-    def leaf_page_span(self, leaf: LeafNode) -> tuple[int, int]:
-        """(first absolute page, page count) of a leaf's data pages.
+    @cached_property
+    def leaf_pages(self) -> np.ndarray:
+        """``(k, 2)`` first absolute page and page count of every leaf.
 
         Index data pages are *leaf-aligned*: every leaf starts its own
         page (pages are left partially empty at ``C_eff < C_max``),
         exactly as the real index stores them -- which is why the
         paper's query I/O shows a seek-to-transfer ratio near 1.
         """
+        sizes = np.diff(self.tree.layout.bounds[0])
+        pages = np.maximum(1, -(-sizes // self.file.points_per_page))
+        firsts = self.file.start_page + np.cumsum(pages) - pages
+        return np.stack([firsts, pages], axis=1)
+
+    def leaf_page_span(self, leaf: LeafNode) -> tuple[int, int]:
+        """(first absolute page, page count) of a leaf's data pages."""
         if leaf.n_points == 0:
             raise ValueError("empty leaf has no pages")
-        if self._leaf_pages is None:
-            table: dict[int, tuple[int, int]] = {}
-            page = self.file.start_page
-            per_page = self.file.points_per_page
-            for node in self.tree.leaves:
-                pages = max(1, math.ceil(node.n_points / per_page))
-                table[id(node)] = (page, pages)
-                page += pages
-            self._leaf_pages = table
-        return self._leaf_pages[id(leaf)]
+        edges = self.tree.layout.bounds[0]
+        row = int(np.searchsorted(edges, leaf.point_ids[0], side="right")) - 1
+        first, count = self.leaf_pages[row].tolist()
+        return first, count
 
 
 class OnDiskBuilder:
@@ -138,7 +144,7 @@ class OnDiskBuilder:
         pivot_seed: int = 0,
     ):
         if memory < c_data:
-            raise ValueError(
+            raise InputValidationError(
                 f"memory M={memory} must hold at least one data page (C={c_data})"
             )
         self.c_data = c_data
@@ -151,7 +157,7 @@ class OnDiskBuilder:
         """Build the index over the file's points, reordering them.
 
         With a :class:`BuildLog`, completed units found in the log are
-        skipped (no I/O, the stored subtree is reused), making the call
+        skipped (no I/O, the stored layout is reused), making the call
         a crash *resume*: after ``journal.recover()`` and a fault-layer
         reboot, re-invoking ``build`` with the same log finishes the
         interrupted build.  ``build_cost`` then covers only the resumed
@@ -161,12 +167,12 @@ class OnDiskBuilder:
             raise ValueError("cannot index an empty file")
         start_cost = file.disk.cost
         topology = Topology(file.n_points, self.c_data, self.c_dir)
-        root = self._build_region(
+        layout = self._build_region(
             file, 0, file.n_points, topology.height, topology, log
         )
         file.disk.drop_head()
         build_cost = file.disk.cost - start_cost
-        tree = RTree(file.peek(0, file.n_points).copy(), root, topology)
+        tree = RTree(file.peek(0, file.n_points).copy(), layout, topology)
         return OnDiskIndex(tree=tree, file=file, build_cost=build_cost)
 
     # ------------------------------------------------------------------
@@ -179,26 +185,21 @@ class OnDiskBuilder:
         level: int,
         topology: Topology,
         log: BuildLog | None,
-    ) -> Node:
-        n = stop - start
-        if n <= self.memory:
+    ) -> PageLayout:
+        """The region's subtree as a layout in file order: its ``order``
+        is ``arange(stop - start)``, positions counted from ``start``."""
+        if stop - start <= self.memory:
             return self._build_in_memory(file, start, stop, level, topology, log)
         if level == 1:
             raise AssertionError("a leaf region cannot exceed memory")
-        children: list[Node] = []
-        for child_start, child_stop in self._external_divide(
-            file, start, stop, level, topology, log
-        ):
-            children.append(
-                self._build_region(
-                    file, child_start, child_stop, level - 1, topology, log
-                )
+        return _joined([
+            self._build_region(
+                file, child_start, child_stop, level - 1, topology, log
             )
-        mbr = None
-        for child in children:
-            if child.mbr is not None:
-                mbr = child.mbr if mbr is None else mbr.union(child.mbr)
-        return InternalNode(children=children, mbr=mbr, level=level, n_points=n)
+            for child_start, child_stop in self._external_divide(
+                file, start, stop, level, topology, log
+            )
+        ])
 
     def _build_in_memory(
         self,
@@ -208,7 +209,7 @@ class OnDiskBuilder:
         level: int,
         topology: Topology,
         log: BuildLog | None,
-    ) -> Node:
+    ) -> PageLayout:
         """Read a memory-sized region, build its subtree, write it back.
 
         The write-back is atomic when the file has a journal: a crash
@@ -217,22 +218,22 @@ class OnDiskBuilder:
         """
         key = ("region", start, stop, level)
         if log is not None and key in log:
-            node = log.node(key)
-            assert node is not None
-            return node
+            layout = log.layout(key)
+            assert layout is not None
+            return layout
         points = file.read_range(start, stop)
         layout = build_subtree(
             points, np.arange(stop - start, dtype=np.int64), level,
             stop - start, topology, self.config,
         )
         # Every page is a slice of ``layout.order``, so the region's
-        # points in page order are one gather, and its ids are the file
-        # positions they land on.
-        global_root = layout.graph(np.arange(start, stop, dtype=np.int64))
+        # points in page order are one gather; written back, page order
+        # is file order.
         file.write_range_atomic(start, points[layout.order])
+        layout = replace(layout, order=np.arange(stop - start, dtype=np.int64))
         if log is not None:
-            log.record(key, global_root)
-        return global_root
+            log.record(key, layout)
+        return layout
 
     # ------------------------------------------------------------------
 
@@ -333,3 +334,29 @@ class OnDiskBuilder:
         first, count = file.page_span(start, stop)
         file.disk.drop_head()
         return file.disk.access(first, count)
+
+
+def _joined(children: list[PageLayout]) -> PageLayout:
+    """One node over consecutive regions: the children's file-order
+    layouts side by side, each shifted by its offset, under a new root
+    whose fanout is their count."""
+    offsets = np.cumsum([0] + [child.order.shape[0] for child in children])
+    n = int(offsets[-1])
+
+    def stacked(arrays) -> np.ndarray:
+        return np.concatenate([
+            edges[:-1] + offset for edges, offset in zip(arrays, offsets)
+        ] + [np.array([n], dtype=np.int64)])
+
+    bounds = tuple(stacked(level) for level in zip(*(c.bounds for c in children)))
+    fanouts = tuple(np.concatenate(level)
+                    for level in zip(*(c.fanouts for c in children)))
+    return PageLayout(
+        order=np.arange(n, dtype=np.int64),
+        bounds=bounds + (np.array([0, n], dtype=np.int64),),
+        fanouts=fanouts + (np.array([len(children)], dtype=np.int64),),
+        virtual_n=np.concatenate([c.virtual_n for c in children]),
+        lower=np.concatenate([c.lower for c in children]),
+        upper=np.concatenate([c.upper for c in children]),
+        stop_level=1,
+    )

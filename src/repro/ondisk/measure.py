@@ -35,7 +35,8 @@ from ..disk.accounting import IOCost
 from ..errors import InputValidationError
 from ..kernels.batched import NumpyBatchedKernel
 from ..kernels.geometry import LeafGeometry
-from ..rtree.tree import TreeQueries
+from ..rtree.bulkload import PageLayout
+from ..rtree.tree import RTree
 from ..workload.queries import KNNWorkload, search_kth_sq
 from .builder import OnDiskIndex
 
@@ -77,10 +78,7 @@ def measure_knn(index: OnDiskIndex, workload: KNNWorkload) -> MeasurementResult:
         raise InputValidationError("the workload's queries are not all finite")
     kth_sq = search_kth_sq(tree.points, queries, workload.k)
     rows, leaves = _read_order(tree, queries, kth_sq)
-    spans = np.array(
-        [index.leaf_page_span(leaf) for leaf in tree.leaves if leaf.mbr is not None],
-        dtype=np.int64,
-    ).reshape(-1, 2)
+    spans = index.leaf_pages[tree.layout.full]
     firsts = spans[leaves, 0].tolist()
     counts = spans[leaves, 1].tolist()
     per_query = np.bincount(rows, minlength=workload.n_queries).astype(np.int64)
@@ -96,7 +94,7 @@ def measure_knn(index: OnDiskIndex, workload: KNNWorkload) -> MeasurementResult:
 
 
 def _read_order(
-    tree: TreeQueries, queries: np.ndarray, kth_sq: np.ndarray
+    tree: RTree, queries: np.ndarray, kth_sq: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(query, leaf row)`` of every leaf read, in the search's order.
 
@@ -110,7 +108,7 @@ def _read_order(
     kernel = NumpyBatchedKernel()
     rows, leaves, leaf_sq = kernel.knn_pairs(tree.leaf_geometry, queries, kth_sq)
     keys = [leaves]
-    for geometry, ancestor in _directory_levels(tree):
+    for geometry, ancestor in _directory_levels(tree.layout):
         level_rows, level_cols, level_sq = kernel.knn_pairs(geometry, queries, kth_sq)
         # pairs come sorted by (row, col); a leaf's ancestor is never
         # farther than the leaf, so it is always among them
@@ -125,38 +123,26 @@ def _read_order(
     return rows[order], leaves[order]
 
 
-def _directory_levels(tree: TreeQueries) -> list[tuple[LeafGeometry, np.ndarray]]:
+def _directory_levels(layout: PageLayout) -> list[tuple[LeafGeometry, np.ndarray]]:
     """Each directory level below the root, top down: its non-empty
-    nodes' boxes in depth-first order, and for every row of
-    ``leaf_geometry`` the position of its ancestor at that level."""
-    nodes: list[list] = []
-    paths: list[tuple[int, ...]] = []
+    nodes' boxes in depth-first order, and for every non-empty leaf
+    (every row of ``layout.geometry()``) the row of its ancestor at
+    that level.
 
-    def walk(node, path: tuple[int, ...], depth: int) -> None:
-        if node.mbr is None:
-            return
-        if node.is_leaf:
-            paths.append(path)
-            return
-        if depth:
-            if len(nodes) < depth:
-                nodes.append([])
-            path = path + (len(nodes[depth - 1]),)
-            nodes[depth - 1].append(node)
-        for child in node.children:
-            walk(child, path, depth + 1)
-
-    walk(tree.root, (), 0)
-    if len({len(path) for path in paths}) > 1:
-        raise ValueError("measure_knn needs a tree whose leaves share one depth")
-    ancestors = np.array(paths, dtype=np.intp).reshape(len(paths), len(nodes))
-    return [
-        (
-            LeafGeometry.from_corners(
-                np.stack([node.mbr.lower for node in level]),
-                np.stack([node.mbr.upper for node in level]),
-            ),
-            ancestors[:, depth],
-        )
-        for depth, level in enumerate(nodes)
-    ]
+    Boxes are :meth:`PageLayout.node_corners`; a leaf's ancestor one
+    level up is ``repeat(arange(parents), fanout)`` at its index, and
+    the rows renumber each level's non-empty nodes.
+    """
+    full = layout.full
+    ancestor = np.arange(full.shape[0])
+    levels = []
+    corners = layout.node_corners()
+    for i, fanout in enumerate(layout.fanouts[:-1], start=1):
+        ancestor = np.repeat(np.arange(fanout.shape[0]), fanout)[ancestor]
+        live = np.diff(layout.bounds[i]) > 0
+        lower, upper = corners[i]
+        levels.append((
+            LeafGeometry(lower[live], upper[live]),
+            (np.cumsum(live) - 1)[ancestor[full]],
+        ))
+    return levels[::-1]

@@ -2,7 +2,6 @@
 
 from .bulkload import BulkLoadConfig, PageLayout, build_subtree, build_tree
 from .geometry import MBR
-from .io import load_tree, load_workload, save_tree, save_workload
 from .kdb import KDBTree
 from .node import InternalNode, LeafNode, Node
 from .rstar import FrozenRStarTree, RStarTree
@@ -23,10 +22,6 @@ __all__ = [
     "build_subtree",
     "build_tree",
     "MBR",
-    "load_tree",
-    "load_workload",
-    "save_tree",
-    "save_workload",
     "KDBTree",
     "InternalNode",
     "LeafNode",

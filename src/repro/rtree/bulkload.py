@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.topology import Topology, split_child_counts, subtree_capacity
+from ..kernels.geometry import LeafGeometry
 from .geometry import MBR
 from .node import InternalNode, LeafNode, Node
 from .split import DimensionRule, max_variance_dimension, midpoint_rank
@@ -79,20 +80,40 @@ class PageLayout:
         """Which leaves hold points (the rows of real corners)."""
         return self.bounds[0][1:] > self.bounds[0][:-1]
 
-    def graph(self, ids: np.ndarray | None = None) -> Node:
-        """The subtree as a node graph, leaves holding slices of ``ids``
-        (default ``order``; the on-disk builder passes file positions).
+    def geometry(self) -> LeafGeometry:
+        """The non-empty leaves as a counting-kernel geometry: their
+        corners, point counts and full-dataset quotas, in leaf order."""
+        full = self.full
+        return LeafGeometry(
+            self.lower[full], self.upper[full],
+            np.diff(self.bounds[0])[full], self.virtual_n[full],
+        )
+
+    def node_corners(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``(lower, upper)`` of every node, one pair per level from the
+        leaves up to the root, rows in ``bounds`` order.
 
         A parent's corners are the min and max of its children's rows,
         one ``reduceat`` per level; the empty rows' ``±inf`` never win,
-        and a node with no points keeps ``mbr=None``.
+        so a node with no points keeps ``±inf`` rows.
         """
-        ids = self.order if ids is None else ids
+        levels = [(self.lower, self.upper)]
+        for fanout in self.fanouts:
+            lower, upper = levels[-1]
+            starts = np.cumsum(fanout) - fanout
+            levels.append((np.minimum.reduceat(lower, starts, axis=0),
+                           np.maximum.reduceat(upper, starts, axis=0)))
+        return levels
+
+    def graph(self) -> Node:
+        """The subtree as a node graph, leaves holding slices of
+        ``order``; a node with no points has ``mbr=None``."""
+        levels = self.node_corners()
         edges = self.bounds[0].tolist()
-        lower, upper = self.lower, self.upper
+        lower, upper = levels[0]
         nodes: list[Node] = [
             LeafNode(
-                point_ids=ids[a:b],
+                point_ids=self.order[a:b],
                 mbr=MBR._unchecked(lower[j], upper[j]) if b > a else None,
                 level=self.stop_level, virtual_n=virtual,
             )
@@ -100,9 +121,8 @@ class PageLayout:
                 zip(edges, edges[1:], self.virtual_n.tolist()))
         ]
         for i, fanout in enumerate(self.fanouts, start=1):
+            lower, upper = levels[i]
             starts = np.cumsum(fanout) - fanout
-            lower = np.minimum.reduceat(lower, starts, axis=0)
-            upper = np.maximum.reduceat(upper, starts, axis=0)
             sizes = np.diff(self.bounds[i]).tolist()
             nodes = [
                 InternalNode(
@@ -122,7 +142,7 @@ def build_tree(
     config: BulkLoadConfig | None = None,
     *,
     stop_level: int = 1,
-) -> Node:
+) -> PageLayout:
     """Bulk load a tree over ``points`` with the given (virtual) topology.
 
     ``topology.n_points`` may exceed ``len(points)`` -- that is the
@@ -130,9 +150,8 @@ def build_tree(
     the sample.  ``stop_level > 1`` stops the recursion early, producing
     the *upper tree* of the phased predictors: nodes at that level
     become leaves holding all their points, with their full-dataset
-    point quota recorded in ``virtual_n``.  The returned root is an
-    object graph of :class:`~repro.rtree.node.InternalNode` /
-    ``LeafNode`` (:meth:`PageLayout.graph`).
+    point quota recorded in ``virtual_n``.  Call
+    :meth:`PageLayout.graph` on the result for a node graph.
     """
     config = config or BulkLoadConfig()
     points = np.asarray(points, dtype=np.float64)
@@ -149,7 +168,7 @@ def build_tree(
     return build_subtree(
         points, ids, topology.height, topology.n_points, topology, config,
         stop_level=stop_level,
-    ).graph()
+    )
 
 
 def build_subtree(

@@ -8,8 +8,8 @@ pages a query sphere intersects -- the paper's hot operation -- is the
 counting kernels' job (:mod:`repro.kernels`).
 
 A small :class:`MBR` value type is provided for code that deals with one
-box at a time (tree nodes, upper-tree leaves); it is a thin, immutable
-wrapper around the same array representation.
+box at a time (tree nodes); it is a thin, immutable wrapper around the
+same array representation.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..kernels.geometry import ordered_sum_sq
+from ..kernels.geometry import grow_centered, ordered_sum_sq
 
 __all__ = [
     "MBR",
@@ -123,10 +123,7 @@ class MBR:
 
     def grown(self, side_factor: float) -> "MBR":
         """A copy scaled by ``side_factor`` per dimension about the center."""
-        lower, upper = grow_centered(
-            self.lower[np.newaxis, :], self.upper[np.newaxis, :], side_factor
-        )
-        return MBR(lower[0], upper[0])
+        return MBR(*grow_centered(self.lower, self.upper, side_factor))
 
 
 def mbr_of_points(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,22 +174,6 @@ def contains_point(lower: np.ndarray, upper: np.ndarray, point: np.ndarray) -> n
     return np.logical_and(
         np.all(lower <= point, axis=-1), np.all(point <= upper, axis=-1)
     )
-
-
-def grow_centered(
-    lower: np.ndarray, upper: np.ndarray, side_factor: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scale every box about its center by ``side_factor`` per dimension.
-
-    Used to apply the paper's compensation factor: the *volume* factor
-    ``delta`` corresponds to a per-side factor of ``delta ** (1/d)``.
-    Factors below 1 shrink; the box center is preserved exactly.
-    """
-    if side_factor < 0:
-        raise ValueError("side_factor must be non-negative")
-    center = (lower + upper) / 2.0
-    half = (upper - lower) / 2.0 * side_factor
-    return center - half, center + half
 
 
 def stack_mbrs(mbrs: list[MBR]) -> tuple[np.ndarray, np.ndarray]:

@@ -107,7 +107,7 @@ class SSTree:
         points = np.asarray(points, dtype=np.float64)
         n_virtual = virtual_n if virtual_n is not None else points.shape[0]
         topology = Topology(n_points=n_virtual, c_data=c_data, c_dir=c_dir)
-        root = build_tree(points, topology, config)
+        root = build_tree(points, topology, config).graph()
         _attach_spheres(root, points)
         return cls(points, root, topology)
 

@@ -1,6 +1,6 @@
 """The bulk-loaded R-tree: search, leaf enumeration, validation.
 
-:class:`RTree` wraps the object graph produced by the bulk loader with
+:class:`RTree` wraps the page layout produced by the bulk loader with
 the operations the paper needs:
 
 * **best-first k-NN search** (Hjaltason & Samet) with leaf- and
@@ -27,7 +27,7 @@ from ..core.topology import Topology
 from ..errors import validate_points
 from ..kernels.geometry import LeafGeometry
 from ..kernels.registry import get_kernel
-from .bulkload import BulkLoadConfig, build_tree
+from .bulkload import BulkLoadConfig, PageLayout, build_tree
 from .node import LeafNode, Node
 from .search import best_first_knn
 
@@ -170,12 +170,34 @@ class TreeQueries:
 
 
 class RTree(TreeQueries):
-    """A bulk-loaded VAMSplit R*-tree over an ``(n, d)`` point matrix."""
+    """A bulk-loaded VAMSplit R*-tree over an ``(n, d)`` point matrix.
 
-    def __init__(self, points: np.ndarray, root: Node, topology: Topology):
+    The tree is its :class:`~repro.rtree.bulkload.PageLayout`: leaf
+    geometry, height and leaf count are read off the layout, and the
+    node graph (``root``) is built on first use, by the searches and
+    :meth:`validate` only.
+    """
+
+    def __init__(self, points: np.ndarray, layout: PageLayout, topology: Topology):
         self.points = np.asarray(points, dtype=np.float64)
-        self.root = root
+        self.layout = layout
         self.topology = topology
+
+    @cached_property
+    def root(self) -> Node:
+        return self.layout.graph()
+
+    @property
+    def height(self) -> int:
+        return self.topology.height
+
+    @property
+    def n_leaves(self) -> int:
+        return int(self.layout.virtual_n.shape[0])
+
+    @cached_property
+    def leaf_geometry(self) -> LeafGeometry:
+        return self.layout.geometry()
 
     @classmethod
     def bulk_load(
@@ -197,8 +219,7 @@ class RTree(TreeQueries):
         points = validate_points(points)
         n_virtual = virtual_n if virtual_n is not None else points.shape[0]
         topology = Topology(n_points=n_virtual, c_data=c_data, c_dir=c_dir)
-        root = build_tree(points, topology, config)
-        return cls(points, root, topology)
+        return cls(points, build_tree(points, topology, config), topology)
 
     def validate(self) -> None:
         """Check the structural invariants of a bulk-loaded tree.

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.topology import Topology
+from repro.kernels.geometry import LeafGeometry
 from repro.rtree.bulkload import BulkLoadConfig, build_subtree, build_tree
 from repro.rtree.split import max_extent_dimension, max_variance_dimension
 from repro.rtree.tree import RTree
@@ -118,19 +121,20 @@ class TestStopLevel:
     def test_upper_tree_leaf_level(self, clustered_points):
         topo = Topology(clustered_points.shape[0], 32, 16)
         assert topo.height >= 3
-        root = build_tree(clustered_points, topo, stop_level=2)
+        root = build_tree(clustered_points, topo, stop_level=2).graph()
         leaves = list(root.iter_leaves())
         assert all(l.level == 2 for l in leaves)
         assert len(leaves) == topo.nodes_at_level(2)
 
     def test_virtual_counts_sum_to_total(self, clustered_points):
         topo = Topology(clustered_points.shape[0], 32, 16)
-        root = build_tree(clustered_points, topo, stop_level=2)
+        root = build_tree(clustered_points, topo, stop_level=2).graph()
         assert sum(l.virtual_n for l in root.iter_leaves()) == topo.n_points
 
     def test_stop_at_root(self, clustered_points):
         topo = Topology(clustered_points.shape[0], 32, 16)
-        root = build_tree(clustered_points, topo, stop_level=topo.height)
+        root = build_tree(clustered_points, topo,
+                          stop_level=topo.height).graph()
         assert root.is_leaf
         assert root.n_points == clustered_points.shape[0]
 
@@ -297,14 +301,15 @@ class TestMatchesRecursiveOracle:
         assert not np.array_equal(layout.order, before)
 
     def test_graph_over_other_ids(self, clustered_points):
-        # The on-disk builder numbers a region's leaves by file position.
+        # The on-disk builder renumbers a region's layout by file
+        # position: the same bounds and corners over another ``order``.
         n = 400
         topo = Topology(clustered_points.shape[0], 32, 16)
         layout = build_subtree(clustered_points[:n],
                                np.arange(n, dtype=np.int64), 2, n, topo)
         positions = np.arange(1000, 1000 + n, dtype=np.int64)
         edges = layout.bounds[0]
-        pairs = zip(layout.graph(positions).iter_leaves(),
+        pairs = zip(replace(layout, order=positions).graph().iter_leaves(),
                     layout.graph().iter_leaves())
         for j, (mine, theirs) in enumerate(pairs):
             assert np.array_equal(mine.point_ids,
@@ -313,3 +318,16 @@ class TestMatchesRecursiveOracle:
                                   layout.order[edges[j]:edges[j + 1]])
             assert mine.mbr.lower.tobytes() == theirs.mbr.lower.tobytes()
             assert mine.mbr.upper.tobytes() == theirs.mbr.upper.tobytes()
+
+    def test_geometry_is_the_full_rows(self, clustered_points):
+        n = clustered_points.shape[0]
+        sample = clustered_points[np.random.default_rng(4).choice(n, 40,
+                                                                  replace=False)]
+        topo = Topology(n, 32, 16)
+        layout = build_subtree(sample, np.arange(40, dtype=np.int64),
+                               topo.height, n, topo)
+        assert not layout.full.all()
+        got = layout.geometry()
+        want = LeafGeometry.from_leaves(layout.graph().iter_leaves(), 16)
+        for name in ("lower", "upper", "n_points", "virtual_n"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()

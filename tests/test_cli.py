@@ -204,6 +204,12 @@ class TestFailureExitCodes:
         assert main(["predict", *FAST, "--crash-at", "0"]) == 3
         assert "InputValidationError" in capsys.readouterr().err
 
+    def test_memory_below_one_page_exits_3(self, capsys):
+        # the on-disk builder needs memory for at least one data page
+        assert main(["measure", *FAST, "--memory", "20"]) == 3
+        err = capsys.readouterr().err
+        assert "InputValidationError" in err and "M=20" in err
+
 
 class TestBudgetFlags:
     def test_budget_exhaustion_exits_11_in_strict_mode(self, capsys):

@@ -11,13 +11,19 @@ from repro.data import datasets
 from repro.disk.device import SimulatedDisk
 from repro.disk.faults import FaultInjector
 from repro.disk.pagefile import PointFile
-from repro.errors import TransientReadError
-from repro.ondisk.builder import OnDiskBuilder
-from repro.ondisk.measure import measure_knn
+from repro.errors import CrashPoint, InputValidationError, TransientReadError
+from repro.kernels.geometry import LeafGeometry
+from repro.ondisk.builder import BuildLog, OnDiskBuilder
+from repro.ondisk.measure import _directory_levels, measure_knn
+from repro.rtree.bulkload import BulkLoadConfig
 from repro.rtree.tree import RTree
 from repro.workload.queries import density_biased_knn_workload
 
-from .knn_oracle import measure_by_search
+from .knn_oracle import (
+    directory_levels_by_walk,
+    leaf_pages_by_walk,
+    measure_by_search,
+)
 
 C_DATA, C_DIR = 32, 16
 
@@ -82,7 +88,7 @@ class TestBuilder:
         assert small.build_cost.seconds() > built.build_cost.seconds()
 
     def test_memory_below_page_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputValidationError):
             OnDiskBuilder(C_DATA, C_DIR, memory=10)
 
     def test_empty_file_rejected(self):
@@ -305,3 +311,67 @@ class TestReplayUnderFaults:
         with pytest.raises(TransientReadError):
             measure_by_search(index, workload)
         assert replay_reads == search_reads
+
+
+def _assert_layout_matches_walk(index):
+    """The arrays measure_knn reads off the layout equal, bit for bit,
+    what a walk of the node graph derives."""
+    tree = index.tree
+    got = tree.leaf_geometry
+    want = LeafGeometry.from_leaves(tree.root.iter_leaves(), tree.dim)
+    for name in ("lower", "upper", "n_points", "virtual_n"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    levels = _directory_levels(tree.layout)
+    walked = directory_levels_by_walk(tree)
+    assert len(levels) == len(walked) == max(tree.height - 2, 0)
+    for (geometry, ancestor), (want_geometry, want_ancestor) in zip(levels,
+                                                                   walked):
+        assert geometry.lower.tobytes() == want_geometry.lower.tobytes()
+        assert geometry.upper.tobytes() == want_geometry.upper.tobytes()
+        assert np.array_equal(ancestor, want_ancestor)
+    spans = leaf_pages_by_walk(index)
+    assert [tuple(row) for row in index.leaf_pages.tolist()] == spans
+    for leaf, span in zip(tree.root.iter_leaves(), spans):
+        if leaf.n_points:
+            assert index.leaf_page_span(leaf) == span
+
+
+class TestLayoutMatchesGraphWalk:
+    """The on-disk index is one file-order page layout; its leaf
+    geometry, directory levels, ancestors and page spans are checked
+    against the node-graph walks of ``tests/knn_oracle.py``."""
+
+    @pytest.mark.parametrize("memory", [64, 500, 5000])
+    @pytest.mark.parametrize("capacities", [(32, 16), (8, 4)])
+    def test_external_and_in_memory_builds(self, clustered_points, memory,
+                                           capacities):
+        c_data, c_dir = capacities
+        index = _build(clustered_points, c_data, c_dir, memory=memory)
+        index.tree.validate()
+        _assert_layout_matches_walk(index)
+
+    def test_midpoint_build(self, clustered_points):
+        file = PointFile.from_points(SimulatedDisk(), clustered_points)
+        index = OnDiskBuilder(
+            8, 4, memory=300, config=BulkLoadConfig(rank_mode="midpoint"),
+        ).build(file)
+        index.tree.validate()
+        _assert_layout_matches_walk(index)
+
+    @pytest.mark.parametrize("crash_at", [30, 120])
+    def test_crash_resumed_build(self, clustered_points, crash_at):
+        fresh = _build(clustered_points, 8, 4, memory=200)
+        injector = FaultInjector(SimulatedDisk(), crash_at=crash_at)
+        file = PointFile.from_points(injector, clustered_points)
+        log = BuildLog(injector)
+        with pytest.raises(CrashPoint):
+            OnDiskBuilder(8, 4, memory=200).build(file, log=log)
+        injector.reboot()
+        resumed = OnDiskBuilder(8, 4, memory=200).build(file, log=log)
+        _assert_layout_matches_walk(resumed)
+        for name in ("bounds", "fanouts"):
+            for mine, theirs in zip(getattr(resumed.tree.layout, name),
+                                    getattr(fresh.tree.layout, name)):
+                assert np.array_equal(mine, theirs)
+        assert (resumed.tree.leaf_geometry.lower.tobytes()
+                == fresh.tree.leaf_geometry.lower.tobytes())

@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import IndexCostPredictor
 from repro.core.phases import build_upper_tree, resolve_h_upper
 from repro.core.topology import Topology
+from repro.errors import InputValidationError
 
 
 @pytest.fixture(scope="module")
@@ -26,13 +28,17 @@ class TestBuildUpperTree:
         sample = clustered_points[rng.choice(len(clustered_points), 400,
                                              replace=False)]
         upper = build_upper_tree(sample, topo, h_upper=2)
-        assert sum(l.virtual_n for l in upper.leaves) == topo.n_points
+        assert upper.layout.virtual_n.sum() == topo.n_points
+        assert upper.geometry.virtual_n.sum() == topo.n_points
 
     def test_sample_points_partitioned(self, clustered_points, topo, rng):
         sample = clustered_points[rng.choice(len(clustered_points), 400,
                                              replace=False)]
         upper = build_upper_tree(sample, topo, h_upper=2)
-        assert sum(len(l.sample_ids) for l in upper.leaves) == 400
+        edges = upper.layout.bounds[0]
+        assert np.diff(edges).sum() == 400
+        assert upper.geometry.n_points.sum() == 400
+        assert np.array_equal(np.sort(upper.layout.order), np.arange(400))
 
     def test_growth_factor_above_one_when_sampled(self, clustered_points, topo, rng):
         sample = clustered_points[rng.choice(len(clustered_points), 400,
@@ -50,20 +56,28 @@ class TestBuildUpperTree:
         sample = clustered_points[rng.choice(len(clustered_points), 400,
                                              replace=False)]
         upper = build_upper_tree(sample, topo, h_upper=2)
-        lower, upper_c = upper.grown_corners()
-        non_empty = sum(1 for l in upper.leaves if not l.is_empty)
-        assert lower.shape == (non_empty, clustered_points.shape[1])
+        non_empty = int(upper.layout.full.sum())
+        assert upper.geometry.lower.shape == (non_empty,
+                                              clustered_points.shape[1])
+        assert upper.geometry.upper.shape == upper.geometry.lower.shape
+        assert np.all(upper.geometry.n_points > 0)
 
     def test_growth_enlarges_boxes(self, clustered_points, topo, rng):
         ids = rng.choice(len(clustered_points), 400, replace=False)
         sample = clustered_points[ids]
         upper = build_upper_tree(sample, topo, h_upper=2)
-        for leaf in upper.leaves:
-            if leaf.is_empty or len(leaf.sample_ids) < 2:
+        layout, grown = upper.layout, upper.geometry
+        edges = layout.bounds[0]
+        rows = np.flatnonzero(layout.full)
+        assert rows.shape[0] == grown.k
+        for row, j in enumerate(rows):
+            raw = sample[layout.order[edges[j]:edges[j + 1]]]
+            assert np.all(grown.lower[row] <= raw.min(axis=0))
+            assert np.all(raw.max(axis=0) <= grown.upper[row])
+            if raw.shape[0] < 2:
                 continue
-            raw = sample[leaf.sample_ids]
             raw_extent = raw.max(axis=0) - raw.min(axis=0)
-            grown_extent = leaf.upper - leaf.lower
+            grown_extent = grown.upper[row] - grown.lower[row]
             assert np.all(grown_extent >= raw_extent - 1e-12)
 
     def test_tiny_sample_degrades_gracefully(self, clustered_points, topo):
@@ -96,6 +110,19 @@ class TestResolveHUpper:
 
     def test_memory_covers_dataset(self, topo):
         assert resolve_h_upper(topo, None, topo.n_points * 2) == topo.height
+
+    def test_height_two_tree_has_no_phased_h_upper(self, uniform_points):
+        # the 6-d page capacities make 5,000 points a height-2 tree
+        predictor = IndexCostPredictor(dim=6)
+        short = predictor.topology(uniform_points.shape[0])
+        assert short.height == 2
+        with pytest.raises(InputValidationError, match="height-2"):
+            resolve_h_upper(short, 2, memory=500)
+        workload = predictor.make_workload(uniform_points, 5, 3)
+        for method in ("cutoff", "resampled"):
+            with pytest.raises(InputValidationError, match="height-2"):
+                predictor.predict(uniform_points, workload, method=method,
+                                  h_upper=2)
 
     def test_infeasible_memory_falls_back(self):
         tall = Topology(50_000, 8, 4)
