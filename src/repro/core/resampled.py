@@ -45,7 +45,7 @@ from ..errors import TornWriteError, TransientReadError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.governor import Governor
-from ..kernels.geometry import LeafGeometry
+from ..kernels.geometry import LeafGeometry, live_fanouts
 from ..kernels.registry import get_kernel
 from ..rtree.bulkload import BulkLoadConfig, build_subtree
 from ..workload.queries import KNNWorkload, RangeWorkload
@@ -181,16 +181,15 @@ class ResampledModel:
                                       start_cost=start_cost)
 
         # Steps 8-10: build each lower tree in memory on its area.
-        leaf_lower: list[np.ndarray] = []
-        leaf_upper: list[np.ndarray] = []
+        # ``lower_trees`` holds, per built upper leaf in leaf order, its
+        # index and its lower tree's non-empty pages with their
+        # directory.
+        lower_trees: list[tuple[int, LeafGeometry]] = []
         first_leaf = 0
         if ck is not None:
-            lower_state = ck.setdefault(
-                "lower", {"done": 0, "leaf_lower": [], "leaf_upper": []}
-            )
+            lower_state = ck.setdefault("lower", {"done": 0, "trees": []})
             first_leaf = lower_state["done"]
-            leaf_lower = list(lower_state["leaf_lower"])
-            leaf_upper = list(lower_state["leaf_upper"])
+            lower_trees = list(lower_state["trees"])
         for leaf_idx, virtual in enumerate(upper.layout.virtual_n.tolist()):
             if leaf_idx < first_leaf:
                 continue
@@ -204,31 +203,20 @@ class ResampledModel:
                     points, ids, upper.leaf_level, virtual, topology,
                     self.config,
                 )
-                full = layout.full
-                leaf_lower.append(layout.lower[full])
-                leaf_upper.append(layout.upper[full])
+                lower_trees.append((leaf_idx, layout.directory()))
             if ck is not None:
                 if built:
                     # Skipping an empty leaf is free and idempotent; only
                     # a leaf that cost charged reads earns a checkpoint
                     # write.
                     self._ckpt_charge(file, ck)
-                ck["lower"] = {
-                    "done": leaf_idx + 1,
-                    "leaf_lower": list(leaf_lower),
-                    "leaf_upper": list(leaf_upper),
-                }
+                ck["lower"] = {"done": leaf_idx + 1,
+                               "trees": list(lower_trees)}
             if governor is not None and built:
                 governor.check("resampled:build_lower",
                                file.disk.cost - start_cost)
         file.disk.drop_head()
-
-        if leaf_lower:
-            geometry = LeafGeometry.from_corners(
-                np.concatenate(leaf_lower), np.concatenate(leaf_upper)
-            )
-        else:
-            geometry = LeafGeometry.empty(file.dim)
+        geometry = _joined_geometry(upper, lower_trees, file.dim)
 
         # Compensate the lower-tree leaves when they too were sampled.
         page_points = topology.pts(1)
@@ -530,6 +518,35 @@ class ResampledModel:
             state["consumed"] = total
 
 
+def _joined_geometry(
+    upper: UpperTree, lower_trees: list[tuple[int, LeafGeometry]], dim: int
+) -> LeafGeometry:
+    """The predicted leaf pages under one directory.
+
+    The lower trees' levels, concatenated level by level in leaf order,
+    sit under the upper tree's levels over the upper leaves that were
+    built -- as the on-disk index joins its regions.  Every lower tree
+    has the same height, and each tree's top count is its upper leaf's.
+    """
+    if not lower_trees:
+        return LeafGeometry.empty(dim)
+    built = np.zeros(upper.k, dtype=bool)
+    built[[leaf_idx for leaf_idx, _ in lower_trees]] = True
+    trees = [tree for _, tree in lower_trees]
+    fanouts = tuple(
+        np.concatenate(level) for level in zip(*(t.fanouts for t in trees))
+    ) + live_fanouts(upper.layout.fanouts, built)
+    return LeafGeometry(
+        np.concatenate([t.lower for t in trees]),
+        np.concatenate([t.upper for t in trees]),
+        fanouts=fanouts,
+    )
+
+
+#: dimensions per containment test in ``_assign_to_boxes``
+_CONTAIN_BLOCK = 16
+
+
 def _assign_to_boxes(
     points: np.ndarray, box_lower: np.ndarray, box_upper: np.ndarray
 ) -> np.ndarray:
@@ -537,8 +554,11 @@ def _assign_to_boxes(
 
     Containment first: the boxes are walked in index order, each point
     takes the first box that contains it (closed bounds) and leaves the
-    walk.  Only the points no box contains are measured against every
-    box by squared Euclidean box distance; ties go to the lowest index.
+    walk.  A box narrows its candidates over blocks of
+    ``_CONTAIN_BLOCK`` dimensions, so a point outside it in an early
+    dimension is not tested in the later ones.  Only the points no box
+    contains are measured against every box by squared Euclidean box
+    distance; ties go to the lowest index.
 
     This equals taking the lowest-index box at minimum distance for
     every point -- a contained point is at distance exactly 0 -- with
@@ -548,19 +568,29 @@ def _assign_to_boxes(
     than the containing box's; this rule picks the box that contains
     the point.
     """
-    assignment = np.empty(points.shape[0], dtype=np.int64)
-    pending = np.arange(points.shape[0])
-    rest = points
+    n_points, n_dims = points.shape
+    assignment = np.empty(n_points, dtype=np.int64)
+    points_t = np.ascontiguousarray(points.T)
+    pending = np.arange(n_points)
     for j in range(box_lower.shape[0]):
         if pending.shape[0] == 0:
             break
-        inside = np.all((box_lower[j] <= rest) & (rest <= box_upper[j]), axis=1)
-        assignment[pending[inside]] = j
-        outside = ~inside
-        pending = pending[outside]
-        rest = rest[outside]
+        # the candidates, as positions in ``pending``
+        inside = np.arange(pending.shape[0])
+        for start in range(0, n_dims, _CONTAIN_BLOCK):
+            stop = start + _CONTAIN_BLOCK
+            block = points_t[start:stop].take(pending[inside], axis=1)
+            hit = (box_lower[j, start:stop, None] <= block) & (
+                block <= box_upper[j, start:stop, None])
+            inside = inside[hit.all(axis=0)]
+            if inside.shape[0] == 0:
+                break
+        if inside.shape[0]:
+            assignment[pending[inside]] = j
+            pending = np.delete(pending, inside)
     if pending.shape[0] > 0:
-        assignment[pending] = _nearest_box(rest, box_lower, box_upper)
+        assignment[pending] = _nearest_box(points[pending], box_lower,
+                                           box_upper)
     return assignment
 
 

@@ -369,11 +369,21 @@ class PointFile:
         The returned block is what came *off the wire*: if the disk
         silently corrupted a page and verification is off, the flipped
         bits are faithfully present in the result.
+
+        A clean read returns a read-only view of the file's rows, not a
+        copy: it stays valid until the next write to those rows, so a
+        caller that keeps the block across a write to its own range
+        must copy it first.  A read that saw corruption returns a
+        private, patched copy.
         """
         if stop > self.n_points:
             raise IndexError(f"read past end: [{start}, {stop}) > {self.n_points}")
         first, count = self.page_span(start, stop)
         corrupted = self.charged(lambda: self._read_run(first, count))
+        if not corrupted:
+            view = self._buffer[start:stop]
+            view.flags.writeable = False
+            return view
         data = self._buffer[start:stop].copy()
         for rel, payload in corrupted.items():
             lo, hi = self._page_rows(rel)

@@ -21,6 +21,16 @@ workload shape.  The tile pass emits the surviving
 count them, and ``knn_pairs`` hands them to the on-disk measurement,
 which orders its leaf reads by them.
 
+A geometry that carries a directory (``LeafGeometry.fanouts``) is
+walked top-down: the dense dimension-0 pass runs over the top level
+only, so the tile height is sized against that level's width; each
+surviving (query, node) pair is expanded to its children's rows one
+level down, in chunks of about one dense pass's worth of pairs, and
+the same doubling blocks run there, level by level, until the leaves.
+The chunks keep the working set near the same budget however many
+pairs survive.  A geometry with no directory is the one-level case of
+the same walk.
+
 Pruning is exact, not approximate: squared gaps are non-negative and
 float addition of non-negative terms is monotone (``fl(s + x) >= s``),
 so a partial sum that exceeds ``radius * radius`` can never fall back
@@ -29,7 +39,11 @@ A pair pruned at the end of a block rather than at the dimension where
 it crossed is therefore pruned just the same.  Surviving pairs
 accumulate their gap terms in the same sequential j = 0 .. d-1 float64
 order as the :mod:`~repro.kernels.reference` oracle, which is what
-makes the returned counts bit-identical to it.
+makes the returned counts bit-identical to it.  The directory prunes
+exactly too: a parent's box contains its children's, so its gap in
+every dimension is no larger than any child's, and by the same
+monotonicity its partial sums are too; a parent beyond the radius has
+no child within it.
 """
 
 from __future__ import annotations
@@ -40,7 +54,7 @@ import numpy as np
 
 from ..errors import InputValidationError
 from .batch import as_radii_grid
-from .geometry import LeafGeometry
+from .geometry import LeafGeometry, Level
 
 __all__ = [
     "DEFAULT_MEMORY_CAP_BYTES",
@@ -86,6 +100,22 @@ def memory_cap_from_env() -> int:
     return cap
 
 
+def _ancestor_sq(
+    trail: list | None, pairs: list[np.ndarray]
+) -> tuple[np.ndarray, ...]:
+    """Each directory level's squared mindist to the leaf pairs'
+    ancestors, top-down, followed up the trail's parent pointers."""
+    if not trail:
+        return ()
+    up = pairs[4]
+    found = []
+    for level_sq, level_up in reversed(trail):
+        found.append(level_sq[up])
+        if level_up is not None:
+            up = level_up[up]
+    return tuple(reversed(found))
+
+
 class NumpyBatchedKernel:
     """Query-tile x leaf blocked counting with exact early pruning."""
 
@@ -115,78 +145,143 @@ class NumpyBatchedKernel:
         queries = np.ascontiguousarray(queries, dtype=np.float64)
         radii = np.asarray(radii, dtype=np.float64)
         counts = np.zeros(queries.shape[0], dtype=np.int64)
-        for start, stop, rows, _, _ in self._pair_tiles(
+        for start, stop, rows, _, _, _ in self._pair_tiles(
             geometry, queries, radii * radii
         ):
-            counts[start:stop] = np.bincount(rows, minlength=stop - start)
+            counts[start:stop] += np.bincount(rows, minlength=stop - start)
         return counts
 
     def knn_pairs(
         self, geometry: LeafGeometry, queries: np.ndarray, bound_sq: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
         """Every ``(query, leaf)`` pair with squared mindist within
-        ``bound_sq[query]``, as ``(rows, cols, dist_sq)`` sorted by
-        ``(row, col)``.
+        ``bound_sq[query]``, as ``(rows, cols, dist_sq, ancestor_sq)``
+        sorted by ``(row, col)``.
 
         ``dist_sq`` is the exact squared mindist :meth:`count_knn` tests
-        (``count_knn`` is the per-row count of these pairs); the on-disk
-        measurement orders its leaf reads by it.
+        (``count_knn`` is the per-row count of these pairs).
+        ``ancestor_sq`` holds one array per directory level, top-down:
+        the squared mindist from the pair's query to the leaf's ancestor
+        at that level (empty for a one-level geometry).  The on-disk
+        measurement orders its leaf reads by them.
         """
         queries = np.ascontiguousarray(queries, dtype=np.float64)
         bound_sq = np.asarray(bound_sq, dtype=np.float64)
+        n_levels = len(geometry.fanouts)
         parts = [
-            (rows + start, cols, dist_sq)
-            for start, _, rows, cols, dist_sq in self._pair_tiles(
-                geometry, queries, bound_sq
+            (rows + start, cols, dist_sq, *ancestor_sq)
+            for start, _, rows, cols, dist_sq, ancestor_sq in self._pair_tiles(
+                geometry, queries, bound_sq, ancestors=True
             )
         ]
         if not parts:
             empty = np.empty(0, dtype=np.intp)
-            return empty, empty, np.empty(0)
-        return tuple(np.concatenate(column) for column in zip(*parts))
+            return (empty, empty, np.empty(0),
+                    tuple(np.empty(0) for _ in range(n_levels)))
+        columns = [np.concatenate(column) for column in zip(*parts)]
+        return columns[0], columns[1], columns[2], tuple(columns[3:])
 
     def _pair_tiles(
-        self, geometry: LeafGeometry, queries: np.ndarray, bound_sq: np.ndarray
+        self, geometry: LeafGeometry, queries: np.ndarray,
+        bound_sq: np.ndarray, *, ancestors: bool = False,
     ):
-        """Per query tile: ``(start, stop, rows, cols, dist_sq)`` of the
-        pairs within ``bound_sq``, with ``rows`` local to the tile."""
+        """The leaf pairs within ``bound_sq``, in ``(row, col)`` order, as
+        chunks ``(start, stop, rows, cols, dist_sq, ancestor_sq)``:
+        ``rows`` are local to the query tile ``[start, stop)``, which may
+        yield several chunks, and ``ancestor_sq`` is filled only when
+        ``ancestors`` is set."""
         n_queries = queries.shape[0]
         if geometry.is_empty or n_queries == 0:
             return
-        tile = self._tile_height(n_queries, geometry.k)
+        levels = geometry.levels
+        top = levels[0]
+        tile = self._tile_height(n_queries, top.lower_t.shape[1])
         for start in range(0, n_queries, tile):
             stop = min(start + tile, n_queries)
-            yield (start, stop) + self._pairs_tile(
-                geometry, queries[start:stop], bound_sq[start:stop]
-            )
+            tile_queries = queries[start:stop]
+            tile_bound = bound_sq[start:stop]
+            # Dense pass over dimension 0 of the top level: partial
+            # mindist^2 for every (query, node) pair in the tile.
+            point = tile_queries[:, 0][:, None]
+            gap = np.maximum(top.lower_t[0][None, :] - point, 0.0)
+            gap += np.maximum(point - top.upper_t[0][None, :], 0.0)
+            gap *= gap
+            rows, cols = np.nonzero(gap <= tile_bound[:, None])
+            dist_sq = gap[rows, cols]
+            del gap
+            pairs = [rows, cols, dist_sq, tile_bound[rows]]
+            queries_t = np.ascontiguousarray(tile_queries.T)
+            pairs = self._fold(top, queries_t, pairs, 1)
+            for chunk in self._descend(levels, queries_t, pairs,
+                                       [] if ancestors else None):
+                yield (start, stop) + chunk
 
-    def _pairs_tile(
-        self, geometry: LeafGeometry, queries: np.ndarray, bound_sq: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        lower_t, upper_t = geometry.lower_t, geometry.upper_t
-        n_dims = lower_t.shape[0]
-        # Dense pass over dimension 0: partial mindist^2 for every
-        # (query, leaf) pair in the tile.
-        point = queries[:, 0][:, None]
-        gap = np.maximum(lower_t[0][None, :] - point, 0.0)
-        gap += np.maximum(point - upper_t[0][None, :], 0.0)
-        gap *= gap
-        rows, cols = np.nonzero(gap <= bound_sq[:, None])
-        dist_sq = gap[rows, cols]
-        del gap
-        # The remaining dimensions in doubling blocks over the surviving
-        # pairs: one gather per operand, the block's squared gaps folded
-        # in dimension by dimension, then one prune per block.
-        queries_t = np.ascontiguousarray(queries.T)
-        bound = bound_sq[rows]
-        start, width = 1, 1
+    def _descend(
+        self, levels: tuple[Level, ...], queries_t: np.ndarray,
+        pairs: list[np.ndarray], trail: list | None,
+    ):
+        """From the pairs on ``levels[0]``, down to the leaves.
+
+        Each surviving (query, node) pair becomes its (query, child)
+        pairs one level down, whose sums restart from dimension 0.  The
+        parents go in chunks whose children fit one dense pass's budget
+        of pairs, so no level holds more than about that many at once.
+        With a ``trail``, a fifth column points each pair at its
+        parent's pair, and the trail keeps the parents' sums.
+        """
+        rows, cols, dist_sq, bound = pairs[:4]
+        if len(levels) == 1:
+            yield rows, cols, dist_sq, _ancestor_sq(trail, pairs)
+            return
+        if not rows.size:
+            return
+        parent, level = levels[0], levels[1]
+        counts = parent.fanout[cols]
+        first = np.cumsum(counts) - counts
+        budget = max(1, self.memory_cap_bytes // (8 * _BUFFERS_PER_PAIR))
+        edges = (np.flatnonzero(np.diff(first // budget)) + 1).tolist()
+        for a, b in zip([0] + edges, edges + [cols.size]):
+            n_children = counts[a:b]
+            offset = first[a:b] - first[a]
+            total = int(offset[-1] + n_children[-1])
+            expanded = [
+                np.repeat(rows[a:b], n_children),
+                np.arange(total) + np.repeat(
+                    parent.child_start[cols[a:b]] - offset, n_children),
+                np.zeros(total),
+                np.repeat(bound[a:b], n_children),
+            ]
+            if trail is not None:
+                expanded.append(np.repeat(np.arange(a, b), n_children))
+                trail.append((dist_sq, pairs[4] if len(pairs) > 4 else None))
+            yield from self._descend(
+                levels[1:], queries_t,
+                self._fold(level, queries_t, expanded, 0), trail)
+            if trail is not None:
+                trail.pop()
+
+    def _fold(
+        self, level: Level, queries_t: np.ndarray, pairs: list[np.ndarray],
+        start: int,
+    ) -> list[np.ndarray]:
+        """Fold dimensions ``start`` .. d-1 of the level's boxes into the
+        pairs' partial sums, pruning after each block.
+
+        ``pairs`` is ``[rows, cols, dist_sq, bound, *riders]``; every
+        column is pruned together.  The remaining dimensions go in
+        doubling blocks: one gather per operand, the block's squared
+        gaps folded in dimension by dimension, then one prune.
+        """
+        rows, cols, dist_sq, bound = pairs[:4]
+        n_dims = queries_t.shape[0]
+        width = 1
         while start < n_dims and rows.size:
             stop = self._block_stop(start, width, n_dims, rows.size)
             point = queries_t[start:stop].take(rows, axis=1)
-            gap = lower_t[start:stop].take(cols, axis=1)
+            gap = level.lower_t[start:stop].take(cols, axis=1)
             gap -= point
             np.maximum(gap, 0.0, out=gap)
-            point -= upper_t[start:stop].take(cols, axis=1)
+            point -= level.upper_t[start:stop].take(cols, axis=1)
             np.maximum(point, 0.0, out=point)
             gap += point
             gap *= gap
@@ -197,12 +292,10 @@ class NumpyBatchedKernel:
             del point, gap
             keep = dist_sq <= bound
             if not keep.all():
-                rows = rows[keep]
-                cols = cols[keep]
-                dist_sq = dist_sq[keep]
-                bound = bound[keep]
+                pairs = [column[keep] for column in pairs]
+                rows, cols, dist_sq, bound = pairs[:4]
             start, width = stop, 2 * width
-        return rows, cols, dist_sq
+        return pairs
 
     def _block_stop(
         self, start: int, width: int, n_dims: int, n_pairs: int
@@ -238,12 +331,12 @@ class NumpyBatchedKernel:
         if n_rows == 0:
             return counts
         grid_sq = grid * grid
-        for start, stop, rows, _, dist_sq in self._pair_tiles(
+        for start, stop, rows, _, dist_sq, _ in self._pair_tiles(
             geometry, centers, grid_sq.max(axis=0)
         ):
             for r in range(n_rows):
                 hits = dist_sq <= grid_sq[r, start:stop][rows]
-                counts[r, start:stop] = np.bincount(
+                counts[r, start:stop] += np.bincount(
                     rows[hits], minlength=stop - start
                 )
         return counts

@@ -14,17 +14,31 @@ The transposed per-dimension columns (``lower_t`` / ``upper_t``) are
 materialized lazily and cached on the instance: the batched counting
 kernels stream dimension-by-dimension, and a ``(d, k)`` contiguous
 layout turns each of their inner passes into a unit-stride read.
+
+A geometry may also carry the *directory* above its leaves: per-level
+child counts (``fanouts``), bottom-up, as a bulk-loaded tree lays its
+nodes out.  The batched kernel then counts top-down, testing a leaf
+only when its parent's box is within the radius.  Parent boxes are not
+stored: :attr:`LeafGeometry.levels` derives them as ``reduceat`` unions
+of the current leaf rows, so a grown geometry's parents cover its grown
+leaves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-__all__ = ["LeafGeometry", "grow_centered", "ordered_sum_sq"]
+__all__ = [
+    "Level",
+    "LeafGeometry",
+    "grow_centered",
+    "live_fanouts",
+    "ordered_sum_sq",
+]
 
 
 def ordered_sum_sq(values: np.ndarray) -> np.ndarray:
@@ -57,6 +71,41 @@ def grow_centered(
     return center - half, center + half
 
 
+def live_fanouts(
+    fanouts: tuple[np.ndarray, ...], keep: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """The child counts of a directory over the rows where ``keep``.
+
+    ``fanouts`` is bottom-up, as in :class:`LeafGeometry`, except that
+    counts may be zero.  A dropped row leaves its parent's count, and a
+    parent left with no child is dropped from its level and from its
+    own parent's count in turn.
+    """
+    counts = []
+    keep = np.asarray(keep, dtype=bool)
+    for fanout in fanouts:
+        parent = np.repeat(np.arange(fanout.shape[0]), fanout)
+        kept = np.bincount(parent[keep], minlength=fanout.shape[0])
+        keep = kept > 0
+        counts.append(kept[keep])
+    return tuple(counts)
+
+
+class Level(NamedTuple):
+    """One level of the counted tree, as the batched kernel walks it.
+
+    ``lower_t`` / ``upper_t`` are the level's ``(d, m)`` box columns.
+    The children of node ``c`` are rows ``child_start[c]`` to
+    ``child_start[c] + fanout[c]`` of the level below; both are
+    ``None`` at the leaves.
+    """
+
+    lower_t: np.ndarray
+    upper_t: np.ndarray
+    child_start: np.ndarray | None
+    fanout: np.ndarray | None
+
+
 def _corner_matrix(value: np.ndarray, name: str) -> np.ndarray:
     array = np.ascontiguousarray(value, dtype=np.float64)
     if array.ndim != 2:
@@ -84,12 +133,19 @@ class LeafGeometry:
     uniform pages).  Instances are immutable values: derived geometries
     (compensation growth, concatenation) are new objects, so a cached
     geometry can be shared freely across predictors and sweep cells.
+
+    ``fanouts`` is the optional directory over the rows, bottom-up:
+    ``fanouts[0][j]`` consecutive rows are the children of parent
+    ``j``, ``fanouts[1]`` groups those parents the same way, and so on
+    to the top level the kernel tests first.  Every count is positive.
+    Empty means a one-level geometry: the leaves are the top level.
     """
 
     lower: np.ndarray = field(repr=False)
     upper: np.ndarray = field(repr=False)
     n_points: np.ndarray = field(repr=False, default=None)
     virtual_n: np.ndarray = field(repr=False, default=None)
+    fanouts: tuple[np.ndarray, ...] = field(repr=False, default=())
 
     def __post_init__(self) -> None:
         lower = _corner_matrix(self.lower, "lower")
@@ -107,6 +163,20 @@ class LeafGeometry:
         object.__setattr__(
             self, "virtual_n", _count_vector(self.virtual_n, k, "virtual_n")
         )
+        fanouts = tuple(
+            np.ascontiguousarray(fanout, dtype=np.int64)
+            for fanout in self.fanouts
+        )
+        children = k
+        for i, fanout in enumerate(fanouts):
+            if fanout.ndim != 1 or (fanout < 1).any() \
+                    or int(fanout.sum()) != children:
+                raise ValueError(
+                    f"fanouts[{i}] must be positive counts summing to "
+                    f"{children}"
+                )
+            children = fanout.shape[0]
+        object.__setattr__(self, "fanouts", fanouts)
 
     # -- constructors ---------------------------------------------------
 
@@ -185,15 +255,35 @@ class LeafGeometry:
         """``(d, k)`` C-contiguous transpose of ``upper``, cached."""
         return np.ascontiguousarray(self.upper.T)
 
+    @cached_property
+    def levels(self) -> tuple[Level, ...]:
+        """The directory top-down, then the leaves; cached.
+
+        A parent's box is the ``minimum`` / ``maximum.reduceat`` union of
+        its children's current rows, so it contains each of them and
+        no child is ever nearer a query than its parent.
+        """
+        lower_t, upper_t = self.lower_t, self.upper_t
+        levels = [Level(lower_t, upper_t, None, None)]
+        for fanout in self.fanouts:
+            child_start = np.cumsum(fanout) - fanout
+            lower_t = np.minimum.reduceat(lower_t, child_start, axis=1)
+            upper_t = np.maximum.reduceat(upper_t, child_start, axis=1)
+            levels.append(Level(lower_t, upper_t, child_start, fanout))
+        return tuple(reversed(levels))
+
     # -- derivation -----------------------------------------------------
 
     def scaled(self, side_factor: float) -> "LeafGeometry":
-        """Every box scaled about its own center; counts preserved."""
+        """Every box scaled about its own center; counts and directory
+        preserved (the parents follow the scaled rows)."""
         lower, upper = grow_centered(self.lower, self.upper, side_factor)
-        return LeafGeometry(lower, upper, self.n_points, self.virtual_n)
+        return LeafGeometry(lower, upper, self.n_points, self.virtual_n,
+                            self.fanouts)
 
     def concatenated(self, other: "LeafGeometry") -> "LeafGeometry":
-        """The union page set of two geometries of equal dimension."""
+        """The union page set of two geometries of equal dimension, with
+        no directory."""
         if other.dim != self.dim:
             raise ValueError(
                 f"cannot concatenate {self.dim}-d and {other.dim}-d geometry"

@@ -11,9 +11,9 @@ final k-th neighbor distance, and it reads them in heap order.  So:
 1. one blocked scan gives each query's k-th squared distance from the
    index's own points, in the search's arithmetic
    (:func:`~repro.workload.queries.search_kth_sq`);
-2. one MINDIST pass over ``tree.leaf_geometry`` (the batched kernel's
-   pair pass) gives the leaves within it, and the same pass over each
-   directory level gives their ancestors' MINDIST;
+2. one top-down MINDIST pass over the layout's directory (the batched
+   kernel's pair pass) gives the leaves within it and, for each, its
+   ancestors' MINDIST;
 3. sorting those leaves by the heap's key reproduces the search's pop
    order, and the same ``disk.read(first, count)`` calls are issued in
    it, with the same ``drop_head()`` after each query.
@@ -34,8 +34,6 @@ import numpy as np
 from ..disk.accounting import IOCost
 from ..errors import InputValidationError
 from ..kernels.batched import NumpyBatchedKernel
-from ..kernels.geometry import LeafGeometry
-from ..rtree.bulkload import PageLayout
 from ..rtree.tree import RTree
 from ..workload.queries import KNNWorkload, search_kth_sq
 from .builder import OnDiskIndex
@@ -102,47 +100,12 @@ def _read_order(
     pushed when its parent pops, so among the leaves read the counter
     order is the parents' pop order, then child order.  Unrolled up the
     tree, the key of a leaf is its MINDIST, its parent's, its
-    grandparent's and so on up to the root's children, and last its
-    depth-first position -- which is its row in ``leaf_geometry``.
+    grandparent's and so on up to the root (the same for every leaf),
+    and last its depth-first position -- which is its row in
+    ``leaf_geometry``.
     """
-    kernel = NumpyBatchedKernel()
-    rows, leaves, leaf_sq = kernel.knn_pairs(tree.leaf_geometry, queries, kth_sq)
-    keys = [leaves]
-    for geometry, ancestor in _directory_levels(tree.layout):
-        level_rows, level_cols, level_sq = kernel.knn_pairs(geometry, queries, kth_sq)
-        # pairs come sorted by (row, col); a leaf's ancestor is never
-        # farther than the leaf, so it is always among them
-        found = np.searchsorted(
-            level_rows * geometry.k + level_cols,
-            rows * geometry.k + ancestor[leaves],
-        )
-        assert np.array_equal(level_cols[found], ancestor[leaves])
-        keys.append(level_sq[found])
-    keys += [leaf_sq, rows]
-    order = np.lexsort(keys)
+    rows, leaves, leaf_sq, ancestor_sq = NumpyBatchedKernel().knn_pairs(
+        tree.layout.directory(), queries, kth_sq
+    )
+    order = np.lexsort((leaves, *ancestor_sq, leaf_sq, rows))
     return rows[order], leaves[order]
-
-
-def _directory_levels(layout: PageLayout) -> list[tuple[LeafGeometry, np.ndarray]]:
-    """Each directory level below the root, top down: its non-empty
-    nodes' boxes in depth-first order, and for every non-empty leaf
-    (every row of ``layout.geometry()``) the row of its ancestor at
-    that level.
-
-    Boxes are :meth:`PageLayout.node_corners`; a leaf's ancestor one
-    level up is ``repeat(arange(parents), fanout)`` at its index, and
-    the rows renumber each level's non-empty nodes.
-    """
-    full = layout.full
-    ancestor = np.arange(full.shape[0])
-    levels = []
-    corners = layout.node_corners()
-    for i, fanout in enumerate(layout.fanouts[:-1], start=1):
-        ancestor = np.repeat(np.arange(fanout.shape[0]), fanout)[ancestor]
-        live = np.diff(layout.bounds[i]) > 0
-        lower, upper = corners[i]
-        levels.append((
-            LeafGeometry(lower[live], upper[live]),
-            (np.cumsum(live) - 1)[ancestor[full]],
-        ))
-    return levels[::-1]

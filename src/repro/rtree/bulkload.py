@@ -20,12 +20,12 @@ to the ordinary loader.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ..core.topology import Topology, split_child_counts, subtree_capacity
-from ..kernels.geometry import LeafGeometry
+from ..kernels.geometry import LeafGeometry, live_fanouts
 from .geometry import MBR
 from .node import InternalNode, LeafNode, Node
 from .split import DimensionRule, max_variance_dimension, midpoint_rank
@@ -88,6 +88,13 @@ class PageLayout:
             self.lower[full], self.upper[full],
             np.diff(self.bounds[0])[full], self.virtual_n[full],
         )
+
+    def directory(self) -> LeafGeometry:
+        """:meth:`geometry` with the directory above it: the child
+        counts of :attr:`fanouts` over the non-empty leaves, every node
+        that holds no point dropped."""
+        return replace(self.geometry(),
+                       fanouts=live_fanouts(self.fanouts, self.full))
 
     def node_corners(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """``(lower, upper)`` of every node, one pair per level from the

@@ -24,12 +24,7 @@ __all__ = [
     "MBR",
     "mbr_of_points",
     "volume",
-    "margin",
-    "union",
-    "intersects_box",
-    "contains_point",
     "grow_centered",
-    "stack_mbrs",
 ]
 
 
@@ -95,12 +90,6 @@ class MBR:
     def margin(self) -> float:
         return float(np.sum(self.extents))
 
-    def union(self, other: "MBR") -> "MBR":
-        return MBR(
-            np.minimum(self.lower, other.lower),
-            np.maximum(self.upper, other.upper),
-        )
-
     def contains_point(self, point: np.ndarray) -> bool:
         point = np.asarray(point, dtype=np.float64)
         return bool(np.all(self.lower <= point) and np.all(point <= self.upper))
@@ -140,46 +129,3 @@ def mbr_of_points(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def volume(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """Volumes of a stacked ``(n, d)`` box set (or a single ``(d,)`` box)."""
     return np.prod(np.asarray(upper) - np.asarray(lower), axis=-1)
-
-
-def margin(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Sums of side lengths (the R*-tree margin) of a stacked box set."""
-    return np.sum(np.asarray(upper) - np.asarray(lower), axis=-1)
-
-
-def union(
-    a_lower: np.ndarray,
-    a_upper: np.ndarray,
-    b_lower: np.ndarray,
-    b_upper: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise union of two (broadcastable) box sets."""
-    return np.minimum(a_lower, b_lower), np.maximum(a_upper, b_upper)
-
-
-def intersects_box(
-    lower: np.ndarray,
-    upper: np.ndarray,
-    q_lower: np.ndarray,
-    q_upper: np.ndarray,
-) -> np.ndarray:
-    """Which boxes of a stacked ``(n, d)`` set intersect the query box."""
-    return np.logical_and(
-        np.all(lower <= q_upper, axis=-1), np.all(q_lower <= upper, axis=-1)
-    )
-
-
-def contains_point(lower: np.ndarray, upper: np.ndarray, point: np.ndarray) -> np.ndarray:
-    """Which boxes of a stacked ``(n, d)`` set contain ``point``."""
-    return np.logical_and(
-        np.all(lower <= point, axis=-1), np.all(point <= upper, axis=-1)
-    )
-
-
-def stack_mbrs(mbrs: list[MBR]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack a non-empty list of MBRs into ``(n, d)`` corner arrays."""
-    if not mbrs:
-        raise ValueError("cannot stack an empty list of MBRs")
-    lower = np.stack([m.lower for m in mbrs])
-    upper = np.stack([m.upper for m in mbrs])
-    return lower, upper

@@ -23,6 +23,11 @@ from repro.rtree.node import InternalNode, LeafNode, Node
 from repro.rtree.split import midpoint_rank
 
 
+def _union(a: MBR, b: MBR) -> MBR:
+    """The smallest box holding both boxes."""
+    return MBR(np.minimum(a.lower, b.lower), np.maximum(a.upper, b.upper))
+
+
 def partition_ids_at_rank(
     points: np.ndarray, ids: np.ndarray, dim: int, rank: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -70,7 +75,7 @@ def build_subtree_recursive(
     mbr: MBR | None = None
     for child in children:
         if child.mbr is not None:
-            mbr = child.mbr if mbr is None else mbr.union(child.mbr)
+            mbr = child.mbr if mbr is None else _union(mbr, child.mbr)
     n_points = sum(child.n_points for child in children)
     return InternalNode(children=children, mbr=mbr, level=level, n_points=n_points)
 

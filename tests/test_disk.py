@@ -191,6 +191,19 @@ class TestPointFile:
         pf.read_range(5, 15)  # straddles pages 0 and 1
         assert disk.cost == IOCost(seeks=1, transfers=2)
 
+    def test_clean_read_is_a_read_only_view(self, rng):
+        points = rng.random((100, 4))
+        pf = PointFile.from_points(SimulatedDisk(), points, points_per_page=10)
+        block = pf.read_range(5, 15)
+        assert np.array_equal(block, points[5:15])
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0, 0] = 1.0
+        # a view: the next write to those rows shows through
+        pf.write_range(5, np.zeros((1, 4)))
+        assert (block[0] == 0.0).all()
+        pf.write_range(0, np.ones((1, 4)))  # the file stays writable
+
     def test_append_retouches_partial_page(self, rng):
         disk = SimulatedDisk()
         pf = PointFile(disk, dim=4, capacity=100, points_per_page=10)

@@ -50,6 +50,9 @@ class TestChecksums:
         clean = points[: file.points_per_page]
         assert not np.array_equal(data, clean)  # the motivating failure
         assert injector.cost.faults_seen > 0
+        # the patched block is a private copy; the file keeps its bits
+        assert data.flags.writeable
+        assert np.array_equal(file.peek(0, file.points_per_page), clean)
 
     def test_corruption_with_verification_is_caught_and_retried(self):
         points = small_points()

@@ -60,14 +60,6 @@ class TestMBRBasics:
         assert np.allclose(box.center, [1.0, 0.0])
         assert np.allclose(box.extents, [2.0, 4.0])
 
-    def test_union_contains_both(self):
-        a = MBR(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
-        b = MBR(np.array([2.0, -1.0]), np.array([3.0, 0.5]))
-        u = a.union(b)
-        assert u.intersects_box(a) and u.intersects_box(b)
-        assert np.allclose(u.lower, [0.0, -1.0])
-        assert np.allclose(u.upper, [3.0, 1.0])
-
     def test_mindist_inside_is_zero(self):
         box = MBR(np.zeros(2), np.ones(2))
         assert box.mindist_sq([0.5, 0.5]) == 0.0
@@ -107,40 +99,23 @@ class TestVectorizedOps:
         upper = lower + rng.random((30, 3))
         q_lower = rng.random(3) * 0.5
         q_upper = q_lower + 0.5
-        hits = geometry.intersects_box(lower, upper, q_lower, q_upper)
+        query = MBR(q_lower, q_upper)
         for i in range(30):
-            a = MBR(lower[i], upper[i])
-            b = MBR(q_lower, q_upper)
-            assert hits[i] == a.intersects_box(b) == b.intersects_box(a)
+            box = MBR(lower[i], upper[i])
+            expected = bool(np.all(lower[i] <= q_upper)
+                            and np.all(q_lower <= upper[i]))
+            assert box.intersects_box(query) == query.intersects_box(box) \
+                == expected
 
     def test_contains_point_boundary(self):
-        lower = np.array([[0.0, 0.0]])
-        upper = np.array([[1.0, 1.0]])
-        assert geometry.contains_point(lower, upper, np.array([1.0, 0.0]))[0]
-        assert not geometry.contains_point(lower, upper, np.array([1.0001, 0.0]))[0]
-
-    def test_stack_mbrs_roundtrip(self):
-        boxes = [MBR(np.zeros(2), np.ones(2)), MBR(np.ones(2), np.full(2, 3.0))]
-        lower, upper = geometry.stack_mbrs(boxes)
-        assert lower.shape == (2, 2)
-        assert np.allclose(lower[1], [1.0, 1.0])
-
-    def test_stack_empty_rejected(self):
-        with pytest.raises(ValueError):
-            geometry.stack_mbrs([])
+        box = MBR(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
+        assert box.contains_point(np.array([1.0, 0.0]))
+        assert not box.contains_point(np.array([1.0001, 0.0]))
 
     def test_volume_stacked(self):
         lower = np.zeros((3, 2))
         upper = np.array([[1.0, 1.0], [2.0, 1.0], [0.5, 4.0]])
         assert np.allclose(geometry.volume(lower, upper), [1.0, 2.0, 2.0])
-
-    def test_union_stacked(self):
-        lo, hi = geometry.union(
-            np.zeros((2, 2)), np.ones((2, 2)),
-            np.full((2, 2), 0.5), np.full((2, 2), 2.0),
-        )
-        assert np.allclose(lo, 0.0)
-        assert np.allclose(hi, 2.0)
 
     def test_grow_centered_shrink(self):
         lower = np.array([[0.0, 0.0]])
@@ -172,15 +147,3 @@ class TestGeometryProperties:
         grown = box.grown(factor)
         query = points.mean(axis=0) + 50.0
         assert grown.mindist_sq(query) <= box.mindist_sq(query) + 1e-9
-
-    @given(finite_points(min_n=2, max_n=16), finite_points(min_n=2, max_n=16))
-    @settings(max_examples=50, deadline=None)
-    def test_union_volume_superadditive(self, a_pts, b_pts):
-        if a_pts.shape[1] != b_pts.shape[1]:
-            b_pts = b_pts[:, : a_pts.shape[1]]
-            if b_pts.shape[1] != a_pts.shape[1]:
-                return
-        a = MBR.of_points(a_pts)
-        b = MBR.of_points(b_pts)
-        u = a.union(b)
-        assert u.volume() >= max(a.volume(), b.volume()) - 1e-9

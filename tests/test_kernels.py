@@ -40,6 +40,7 @@ from repro.kernels import (
     default_kernel_name,
     get_kernel,
 )
+from repro.kernels.geometry import live_fanouts, ordered_sum_sq
 from repro.kernels.reference import ReferenceKernel
 from repro.workload.queries import KNNWorkload, RangeWorkload
 
@@ -212,10 +213,11 @@ class TestBlockWalk:
         kernel = NumpyBatchedKernel(memory_cap_bytes=cap)
         reference = get_kernel("reference")
         bound_sq = radii * radii
-        pairs = kernel.knn_pairs(geometry, queries, bound_sq)
+        *pairs, ancestor_sq = kernel.knn_pairs(geometry, queries, bound_sq)
+        assert ancestor_sq == ()  # a one-level geometry has no ancestors
         for got, want in zip(pairs, knn_pairs_by_stream(
             geometry, queries, bound_sq
-        )):
+        ), strict=True):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
             assert got.tobytes() == want.tobytes()
@@ -657,3 +659,178 @@ class TestLeafGeometry:
         assert tree.leaf_geometry is before
         tree.invalidate_caches()
         assert tree.leaf_geometry is not before
+
+    def test_directory_carried_by_scaled_dropped_by_concatenated(self):
+        lower = np.arange(8.0).reshape(4, 2)
+        geometry = LeafGeometry(
+            lower, lower + 1.0, fanouts=(np.array([3, 1]), np.array([2])))
+        grown = geometry.scaled(3.0)
+        assert [f.tolist() for f in grown.fanouts] == [[3, 1], [2]]
+        # the parents are unions of the grown rows, not of the old ones
+        parents = grown.levels[1]
+        np.testing.assert_array_equal(parents.lower_t.T,
+                                      [grown.lower[:3].min(axis=0),
+                                       grown.lower[3]])
+        np.testing.assert_array_equal(parents.upper_t.T,
+                                      [grown.upper[:3].max(axis=0),
+                                       grown.upper[3]])
+        assert geometry.concatenated(geometry).fanouts == ()
+
+    @pytest.mark.parametrize("fanouts", [
+        (np.array([2, 1]),),            # sums to 3, not 4
+        (np.array([4, 0]),),            # a parent with no child
+        (np.array([2, 2]), np.array([3])),  # level 2 sums to 3, not 2
+    ])
+    def test_malformed_directory_rejected(self, fanouts):
+        with pytest.raises(ValueError):
+            LeafGeometry(np.zeros((4, 2)), np.ones((4, 2)), fanouts=fanouts)
+
+
+def _random_directory(gen: np.random.Generator, n_rows: int, n_levels: int):
+    """Random bottom-up fanouts over ``n_rows``, 1-4 children each."""
+    fanouts = []
+    for _ in range(n_levels):
+        if n_rows == 1:
+            break
+        sizes = gen.integers(1, 5, n_rows)
+        sizes = sizes[:np.searchsorted(np.cumsum(sizes), n_rows) + 1]
+        sizes[-1] = n_rows - sizes[:-1].sum()
+        fanouts.append(sizes)
+        n_rows = sizes.shape[0]
+    return tuple(fanouts)
+
+
+class TestDirectoryCounting:
+    """Counting top-down through a directory is exact: the counts, the
+    fused grid and the pairs equal the one-level pass and the
+    ``reference`` oracle bit for bit, and each pair's ancestor distances
+    equal a direct measurement of the ancestor's box."""
+
+    @given(
+        st.integers(0, 10_000),
+        st.integers(1, 150),
+        DIMS,
+        st.integers(1, 30),
+        st.integers(0, 4),
+        st.sampled_from([1.0, 0.5, 1.7]),
+        CAPS,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_directory_pass_equals_flat(
+        self, seed, k, d, n_queries, n_levels, growth, cap
+    ):
+        gen = np.random.default_rng(seed)
+        geometry, queries, radii, _, _ = _random_case(seed, k, d, n_queries)
+        # children of one parent are neighbours in dimension 0, so the
+        # directory prunes; rows with no points are dropped as a
+        # bulk-loaded layout drops its empty leaves
+        order = np.argsort(geometry.lower[:, 0], kind="stable")
+        lower, upper = geometry.lower[order], geometry.upper[order]
+        fanouts = _random_directory(gen, k, n_levels)
+        keep = gen.random(k) < 0.8
+        keep[gen.integers(0, k)] = True
+        directory = LeafGeometry(
+            lower[keep], upper[keep],
+            fanouts=live_fanouts(fanouts, keep)).scaled(growth)
+        flat = LeafGeometry(directory.lower, directory.upper)
+        # some queries sit exactly on a leaf's faces
+        on_face = gen.random(n_queries) < 0.3
+        rows = gen.integers(0, directory.k, n_queries)
+        face = np.where(gen.random((n_queries, d)) < 0.5,
+                        directory.lower[rows], directory.upper[rows])
+        queries = np.where(on_face[:, None], face, queries)
+
+        kernel = NumpyBatchedKernel(memory_cap_bytes=cap)
+        expected = get_kernel("reference").count_knn(flat, queries, radii)
+        for name in available_kernels():
+            np.testing.assert_array_equal(
+                get_kernel(name).count_knn(directory, queries, radii),
+                expected, err_msg=name)
+        np.testing.assert_array_equal(
+            kernel.count_knn(directory, queries, radii), expected)
+        grid = radii[None, :] * np.array([[0.0], [0.5], [1.0], [1.3]])
+        np.testing.assert_array_equal(
+            kernel.count_grid(directory, queries, grid),
+            kernel.count_grid(flat, queries, grid))
+
+        bound_sq = radii * radii
+        got = kernel.knn_pairs(directory, queries, bound_sq)
+        want = knn_pairs_by_stream(flat, queries, bound_sq)
+        for mine, theirs in zip(got[:3], want):
+            assert mine.dtype == theirs.dtype
+            assert mine.tobytes() == theirs.tobytes()
+        rows, cols, _, ancestor_sq = got
+        assert len(ancestor_sq) == len(directory.fanouts)
+        ancestor = cols
+        for fanout, level, level_sq in zip(
+                directory.fanouts, directory.levels[-2::-1],
+                ancestor_sq[::-1]):
+            ancestor = np.repeat(np.arange(fanout.shape[0]), fanout)[ancestor]
+            box_lower = level.lower_t.T[ancestor]
+            box_upper = level.upper_t.T[ancestor]
+            point = queries[rows]
+            gap = (np.maximum(box_lower - point, 0.0)
+                   + np.maximum(point - box_upper, 0.0))
+            assert ordered_sum_sq(gap).tobytes() == level_sq.tobytes()
+
+    def test_resampled_directory_drops_unbuilt_upper_leaves(
+        self, clustered_points, monkeypatch
+    ):
+        """An upper leaf whose spill area stayed empty builds no lower
+        tree, so the prediction's directory leaves it out; counting
+        through that directory equals counting its pages flat."""
+        from repro.core.resampled import ResampledModel
+        from repro.disk.device import SimulatedDisk
+        from repro.disk.pagefile import PointFile
+        from repro.workload.queries import density_biased_knn_workload
+
+        kernel = type(get_kernel())
+        real = kernel.count_knn
+        seen = []
+
+        def spy(self, geometry, queries, radii):
+            seen.append(geometry)
+            return real(self, geometry, queries, radii)
+
+        monkeypatch.setattr(kernel, "count_knn", spy)
+        workload = density_biased_knn_workload(
+            clustered_points, 30, 21, np.random.default_rng(3))
+        # 20 sample points over 8 upper leaves: three spill areas stay
+        # empty
+        result = ResampledModel(8, 4, memory=20, h_upper=3).predict(
+            PointFile.from_points(SimulatedDisk(), clustered_points),
+            workload, np.random.default_rng(0))
+        geometry, = seen
+        # fanouts[i] counts the children of level i + 2; the upper
+        # leaves are h_upper - 1 levels below the root
+        upper_leaves = geometry.fanouts[len(geometry.fanouts) - 3]
+        assert upper_leaves.shape[0] < result.detail["k_upper_leaves"]
+        flat = LeafGeometry(geometry.lower, geometry.upper)
+        np.testing.assert_array_equal(
+            result.per_query,
+            get_kernel("reference").count_knn(flat, workload.queries,
+                                              workload.radii))
+
+    @pytest.mark.parametrize("n_queries", [64, 1024])
+    def test_memory_stays_bounded_when_every_pair_survives(self, n_queries):
+        """Expansions go in chunks of one dense pass's pairs, so the
+        peak is a few caps whatever the workload: here 64 x 4,096 and
+        1,024 x 4,096 pairs reach the leaves under a 256 KiB cap."""
+        gen = np.random.default_rng(0)
+        k, d, cap = 4096, 20, 1 << 18
+        lower = gen.random((k, d))
+        geometry = LeafGeometry(
+            lower, lower + 0.1,
+            fanouts=(np.full(k // 8, 8), np.full(k // 64, 8)))
+        queries = gen.random((n_queries, d))
+        radii = np.full(n_queries, float(d))
+        kernel = NumpyBatchedKernel(memory_cap_bytes=cap)
+        geometry.levels  # cached before the trace
+        tracemalloc.start()
+        try:
+            counts = kernel.count_knn(geometry, queries, radii)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (counts == k).all()
+        assert peak <= 5 * cap, f"peak {peak:,} bytes, cap {cap:,}"

@@ -14,7 +14,7 @@ from repro.disk.pagefile import PointFile
 from repro.errors import CrashPoint, InputValidationError, TransientReadError
 from repro.kernels.geometry import LeafGeometry
 from repro.ondisk.builder import BuildLog, OnDiskBuilder
-from repro.ondisk.measure import _directory_levels, measure_knn
+from repro.ondisk.measure import measure_knn
 from repro.rtree.bulkload import BulkLoadConfig
 from repro.rtree.tree import RTree
 from repro.workload.queries import density_biased_knn_workload
@@ -321,13 +321,22 @@ def _assert_layout_matches_walk(index):
     want = LeafGeometry.from_leaves(tree.root.iter_leaves(), tree.dim)
     for name in ("lower", "upper", "n_points", "virtual_n"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-    levels = _directory_levels(tree.layout)
+    directory = tree.layout.directory()
+    for name in ("lower", "upper", "n_points", "virtual_n"):
+        assert getattr(directory, name).tobytes() == getattr(got, name).tobytes()
+    # a leaf's ancestor one level up is repeat(arange(parents), fanout)
+    ancestors = [np.arange(directory.k)]
+    for fanout in directory.fanouts:
+        parent = np.repeat(np.arange(fanout.shape[0]), fanout)
+        ancestors.append(parent[ancestors[-1]])
+    # below the root, top down
+    levels = directory.levels[1:-1]
     walked = directory_levels_by_walk(tree)
     assert len(levels) == len(walked) == max(tree.height - 2, 0)
-    for (geometry, ancestor), (want_geometry, want_ancestor) in zip(levels,
-                                                                   walked):
-        assert geometry.lower.tobytes() == want_geometry.lower.tobytes()
-        assert geometry.upper.tobytes() == want_geometry.upper.tobytes()
+    for level, ancestor, (want_geometry, want_ancestor) in zip(
+            levels, ancestors[-2:0:-1], walked):
+        assert level.lower_t.T.tobytes() == want_geometry.lower.tobytes()
+        assert level.upper_t.T.tobytes() == want_geometry.upper.tobytes()
         assert np.array_equal(ancestor, want_ancestor)
     spans = leaf_pages_by_walk(index)
     assert [tuple(row) for row in index.leaf_pages.tolist()] == spans

@@ -25,8 +25,9 @@ from .assign_oracle import assign_by_distance, underflows
 @st.composite
 def _boxes_and_points(draw):
     """Boxes and points on a shared coordinate set, so degenerate and
-    overlapping boxes and points on faces and corners are common."""
-    d = draw(st.integers(1, 4))
+    overlapping boxes and points on faces and corners are common.
+    Some cases are wider than one 16-dimension containment block."""
+    d = draw(st.one_of(st.integers(1, 4), st.sampled_from([17, 33, 40])))
     k = draw(st.integers(1, 6))
     if draw(st.booleans()):
         coord = st.integers(-4, 4).map(lambda v: v / 2)
@@ -43,9 +44,11 @@ def _boxes_and_points(draw):
     n = draw(st.integers(0, 30))
     points = np.array(draw(st.lists(coord, min_size=n * d,
                                     max_size=n * d))).reshape(n, d)
-    # corners and face points of every box, and points past every box
+    # corners and face points of every box, points past every box, and
+    # points inside a box but in its last dimension
     mixed = np.where(np.arange(d) % 2 == 0, lower, (lower + upper) / 2)
-    points = np.concatenate([points, lower, upper, mixed,
+    last_out = np.where(np.arange(d) < d - 1, lower, upper + 1.0)
+    points = np.concatenate([points, lower, upper, mixed, last_out,
                              upper + 1.0, lower - 3.0])
     order = np.random.default_rng(draw(st.integers(0, 99))).permutation(
         points.shape[0])
@@ -85,6 +88,15 @@ class TestAssignmentMatchesOracle:
         points = gen.random((9000, 5)) * 1.4 - 0.2
         assert np.array_equal(_assign_to_boxes(points, lower, upper),
                               assign_by_distance(points, lower, upper))
+
+    def test_containment_reads_every_dimension_block(self):
+        # box 0 holds the point in its first 39 dimensions, not in the
+        # 40th; box 1 holds it entirely
+        lower, upper = np.zeros((2, 40)), np.ones((2, 40))
+        lower[0, -1], upper[0, -1] = 5.0, 6.0
+        points = np.full((1, 40), 0.5)
+        assert _assign_to_boxes(points, lower, upper).tolist() == [1]
+        assert assign_by_distance(points, lower, upper).tolist() == [1]
 
     def test_empty_inputs(self):
         lower = np.zeros((2, 3))

@@ -18,6 +18,7 @@ from repro.core import resampled
 from repro.core.resampled import ResampledModel
 from repro.disk.device import SimulatedDisk
 from repro.disk.pagefile import PointFile
+from repro.kernels import get_kernel
 from repro.workload.queries import density_biased_knn_workload
 
 #: the attributes of ``repro.core.resampled`` the benchmark wraps
@@ -82,3 +83,28 @@ def test_every_traced_layer_is_called_by_name(clustered_points, traced, spill):
     # every predicted leaf page comes from one of those calls
     pages = sum(int(layout.full.sum()) for _, layout in lower_trees)
     assert pages == result.detail["n_predicted_leaves"]
+
+
+def test_one_prediction_dispatches_count_knn_once(clustered_points, monkeypatch):
+    """The benchmark times counting by wrapping the selected kernel
+    class's ``count_knn``: a resampled prediction must count through it,
+    once, whether or not its leaves carry a directory."""
+    kernel = type(get_kernel())
+    real = kernel.count_knn
+    calls = []
+
+    def counted(self, geometry, queries, radii):
+        calls.append(geometry)
+        return real(self, geometry, queries, radii)
+
+    monkeypatch.setattr(kernel, "count_knn", counted)
+    workload = density_biased_knn_workload(
+        clustered_points, 30, 21, np.random.default_rng(3))
+    model = ResampledModel(32, 16, memory=40, h_upper=2)
+    result = model.predict(PointFile.from_points(SimulatedDisk(),
+                                                 clustered_points),
+                           workload, np.random.default_rng(0))
+    assert len(calls) == 1
+    geometry, = calls
+    assert geometry.k == result.detail["n_predicted_leaves"]
+    assert geometry.fanouts, "the lower and upper directory is not joined"
