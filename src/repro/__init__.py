@@ -74,14 +74,10 @@ from .cluster import (
 from .kernels import LeafGeometry, available_kernels, get_kernel
 from .ondisk import MeasurementResult, OnDiskBuilder, OnDiskIndex, measure_knn
 from .runtime import (
-    BatchReport,
-    BatchRunner,
-    BatchTask,
     Budget,
     CircuitBreaker,
     Governor,
     HedgeOutcome,
-    TaskReport,
     run_hedged,
 )
 from .rtree import MBR, BulkLoadConfig, KNNResult, RStarTree, RTree
@@ -155,14 +151,10 @@ __all__ = [
     "OnDiskBuilder",
     "OnDiskIndex",
     "measure_knn",
-    "BatchReport",
-    "BatchRunner",
-    "BatchTask",
     "Budget",
     "CircuitBreaker",
     "Governor",
     "HedgeOutcome",
-    "TaskReport",
     "run_hedged",
     "MBR",
     "BulkLoadConfig",

@@ -24,11 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.predictor import IndexCostPredictor
-from ..disk.accounting import DiskParameters, IOCost
+from ..disk.accounting import DiskParameters
 from ..kernels.geometry import LeafGeometry
 from ..kernels.registry import get_kernel
-from ..runtime.batch import BatchRunner, BatchTask
-from ..runtime.budget import Budget
 from ..rtree.tree import RTree
 from ..workload.queries import KNNWorkload
 
@@ -37,13 +35,7 @@ __all__ = ["DimensionPoint", "DimensionSweep", "sweep_index_dimensions"]
 
 @dataclass(frozen=True)
 class DimensionPoint:
-    """Predicted/measured index accesses with ``m`` indexed dimensions.
-
-    ``status`` is ``"ok"`` for a completed cell; budget-governed sweeps
-    mark unfinished cells ``"over_budget"`` / ``"rejected"`` /
-    ``"failed"`` with NaN accesses (see
-    :class:`~repro.runtime.batch.BatchRunner`).
-    """
+    """Predicted/measured index accesses with ``m`` indexed dimensions."""
 
     n_dimensions: int
     c_data: int
@@ -51,19 +43,11 @@ class DimensionPoint:
     measured_accesses: float | None = None
     predicted_candidates: float | None = None
     measured_candidates: float | None = None
-    status: str = "ok"
-    #: the prediction's charged ledger -- what a budget-governed sweep's
-    #: admission control observes between cells
-    io_cost: IOCost | None = None
 
 
 @dataclass(frozen=True)
 class DimensionSweep:
     points: tuple[DimensionPoint, ...]
-
-    @property
-    def completed(self) -> tuple[DimensionPoint, ...]:
-        return tuple(p for p in self.points if p.status == "ok")
 
 
 def _projected_workload(workload: KNNWorkload, m: int) -> KNNWorkload:
@@ -103,21 +87,11 @@ def sweep_index_dimensions(
     measure: bool = False,
     candidates: bool = False,
     seed: int = 0,
-    budget: Budget | None = None,
-    cell_deadline_s: float | None = None,
-    max_workers: int = 4,
 ) -> DimensionSweep:
     """Predict index page accesses for each candidate prefix length.
 
     ``data`` must already be KLT-transformed (leading columns carry the
     most variance); ``dimensions`` are the prefix lengths to evaluate.
-
-    ``budget`` / ``cell_deadline_s`` run the sweep through the
-    admission-controlled :class:`~repro.runtime.batch.BatchRunner`
-    (see :func:`~repro.apps.pagesize.sweep_page_sizes`); unfinished
-    cells are reported with a non-``"ok"`` status instead of wedging
-    the sweep.  Without either, cells run serially, bit-identical to
-    the ungoverned behavior.
     """
     data = np.asarray(data, dtype=np.float64)
     disk = disk or DiskParameters()
@@ -172,27 +146,6 @@ def sweep_index_dimensions(
             measured_accesses=measured_accesses,
             predicted_candidates=predicted_candidates,
             measured_candidates=measured_candidates,
-            io_cost=prediction.io_cost,
         )
 
-    if budget is None and cell_deadline_s is None:
-        return DimensionSweep(points=tuple(cell(m) for m in dimensions))
-
-    runner = BatchRunner(
-        budget=budget, task_deadline_s=cell_deadline_s,
-        max_workers=max_workers,
-    )
-    report = runner.run([
-        BatchTask(name=str(m), fn=lambda m=m: cell(m)) for m in dimensions
-    ])
-    points: list[DimensionPoint] = []
-    for m, task in zip(dimensions, report.tasks):
-        if task.status == "ok":
-            points.append(task.result)
-        else:
-            points.append(DimensionPoint(
-                n_dimensions=m, c_data=0,
-                predicted_accesses=float("nan"),
-                status=task.status,
-            ))
-    return DimensionSweep(points=tuple(points))
+    return DimensionSweep(points=tuple(cell(m) for m in dimensions))

@@ -25,8 +25,6 @@ from ..core.predictor import IndexCostPredictor
 from ..disk.accounting import DiskParameters, IOCost
 from ..kernels.geometry import LeafGeometry
 from ..kernels.registry import get_kernel
-from ..runtime.batch import BatchRunner, BatchTask
-from ..runtime.budget import Budget
 from ..rtree.tree import RTree
 from ..workload.queries import KNNWorkload
 
@@ -37,14 +35,7 @@ DEFAULT_PAGE_SIZES = (4096, 8192, 16384, 32768, 65536, 131072, 262144)
 
 @dataclass(frozen=True)
 class PageSizePoint:
-    """Predicted (and optionally measured) query cost at one page size.
-
-    ``status`` is ``"ok"`` for a completed cell; a budget-governed sweep
-    marks cells it could not finish ``"over_budget"``, ``"rejected"``
-    (never admitted -- the global budget was spent), or ``"failed"``,
-    with NaN costs.  The optimum properties only consider ``"ok"``
-    cells.
-    """
+    """Predicted (and optionally measured) query cost at one page size."""
 
     page_bytes: int
     c_data: int
@@ -53,9 +44,8 @@ class PageSizePoint:
     predicted_seconds: float
     measured_accesses: float | None = None
     measured_seconds: float | None = None
-    status: str = "ok"
-    #: the prediction's charged ledger -- what a budget-governed sweep's
-    #: admission control observes between cells
+    #: the prediction's charged ledger (what shard tuning reports as
+    #: its I/O)
     io_cost: IOCost | None = None
 
 
@@ -67,17 +57,13 @@ class PageSizeSweep:
 
     @property
     def predicted_optimum(self) -> PageSizePoint | None:
-        ok = [p for p in self.points if p.status == "ok"]
-        if not ok:
+        if not self.points:
             return None
-        return min(ok, key=lambda p: p.predicted_seconds)
+        return min(self.points, key=lambda p: p.predicted_seconds)
 
     @property
     def measured_optimum(self) -> PageSizePoint | None:
-        measured = [
-            p for p in self.points
-            if p.status == "ok" and p.measured_seconds is not None
-        ]
+        measured = [p for p in self.points if p.measured_seconds is not None]
         if not measured:
             return None
         return min(measured, key=lambda p: p.measured_seconds)
@@ -98,9 +84,6 @@ def sweep_page_sizes(
     method: str = "resampled",
     measure: bool = False,
     seed: int = 0,
-    budget: Budget | None = None,
-    cell_deadline_s: float | None = None,
-    max_workers: int = 4,
 ) -> PageSizeSweep:
     """Predict per-query I/O cost across candidate page sizes.
 
@@ -109,16 +92,6 @@ def sweep_page_sizes(
     With ``measure=True`` the exact per-size access counts are computed
     from a fully built index for comparison (slow -- that is the point
     of the application).
-
-    A ``budget`` (global wall-clock and I/O caps across the whole sweep)
-    or ``cell_deadline_s`` (per-cell wall-clock cap) runs the sweep
-    through the admission-controlled
-    :class:`~repro.runtime.batch.BatchRunner` with ``max_workers``
-    concurrent cells: pathological cells come back marked
-    ``over_budget`` / ``rejected`` / ``failed`` instead of wedging the
-    sweep, and :attr:`PageSizeSweep.predicted_optimum` skips them.
-    Without either, cells run serially and the sweep is bit-identical to
-    the ungoverned behavior.
     """
     data = np.asarray(data, dtype=np.float64)
     base_disk = base_disk or DiskParameters()
@@ -126,8 +99,6 @@ def sweep_page_sizes(
     # Candidate page sizes can round to the same (c_data, c_dir)
     # capacities; the measured path shares one built tree's cached leaf
     # geometry across those cells instead of rebuilding and restacking.
-    # (LeafGeometry is immutable, so concurrent cells may share it; a
-    # rare duplicate build under races is only wasted work.)
     measured_geometry: dict[tuple[int, int], LeafGeometry] = {}
 
     def measured_counts(c_data: int, c_dir: int) -> np.ndarray:
@@ -162,28 +133,6 @@ def sweep_page_sizes(
             io_cost=prediction.io_cost,
         )
 
-    if budget is None and cell_deadline_s is None:
-        return PageSizeSweep(
-            points=tuple(cell(page_bytes) for page_bytes in page_sizes)
-        )
-
-    runner = BatchRunner(
-        budget=budget, task_deadline_s=cell_deadline_s,
-        max_workers=max_workers,
+    return PageSizeSweep(
+        points=tuple(cell(page_bytes) for page_bytes in page_sizes)
     )
-    report = runner.run([
-        BatchTask(name=str(page_bytes), fn=lambda pb=page_bytes: cell(pb))
-        for page_bytes in page_sizes
-    ])
-    points: list[PageSizePoint] = []
-    for page_bytes, task in zip(page_sizes, report.tasks):
-        if task.status == "ok":
-            points.append(task.result)
-        else:
-            points.append(PageSizePoint(
-                page_bytes=page_bytes, c_data=0, c_dir=0,
-                predicted_accesses=float("nan"),
-                predicted_seconds=float("nan"),
-                status=task.status,
-            ))
-    return PageSizeSweep(points=tuple(points))

@@ -191,15 +191,6 @@ class Topology:
         """Effective data-page capacity ``C_eff,data`` (points per leaf)."""
         return self.n_points / self.n_leaves
 
-    @property
-    def c_eff_dir(self) -> float:
-        """Effective directory-page capacity ``C_eff,dir``."""
-        if self.height == 1:
-            return float(self.c_dir)
-        internal = sum(self.nodes_per_level[1:])
-        children = sum(self.nodes_per_level[:-1])
-        return children / internal
-
     def pts(self, level: int) -> float:
         """Average number of data points under a subtree rooted at ``level``.
 

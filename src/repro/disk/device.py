@@ -11,11 +11,10 @@ The device stores no bytes -- data lives in the
 :class:`~repro.disk.pagefile.PointFile` layers above -- it is purely the
 accountant through which *all* simulated I/O must flow.
 
-The ledger is lock-protected: a batch runner or the prediction service
-can drive one device from several worker threads, and every counter
-update is a read-modify-write that would otherwise lose increments
-(two threads both reading ``_transfers`` before either writes it
-back).  The lock covers only counter arithmetic -- no I/O, no
+The ledger is lock-protected: the prediction service can drive one
+device from several worker threads, and every counter update is a
+read-modify-write that would otherwise lose increments (two threads
+both reading ``_transfers`` before either writes it back).  The lock covers only counter arithmetic -- no I/O, no
 randomness -- so single-threaded callers pay nothing measurable.
 """
 

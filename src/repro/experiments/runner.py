@@ -22,8 +22,6 @@ from ..data import datasets
 from ..disk.accounting import IOCost
 from ..ondisk.builder import OnDiskIndex
 from ..ondisk.measure import MeasurementResult, measure_knn
-from ..runtime.batch import BatchReport, BatchRunner, BatchTask
-from ..runtime.budget import Budget
 from ..workload.queries import KNNWorkload
 from .config import DEFAULT_K, DEFAULT_MEMORY_FRACTION
 
@@ -31,7 +29,6 @@ __all__ = [
     "ExperimentSetup",
     "get_setup",
     "pearson_correlation",
-    "run_prediction_grid",
 ]
 
 
@@ -93,45 +90,6 @@ def get_setup(
         index=index,
         measurement=measurement,
     )
-
-
-def run_prediction_grid(
-    predictor: IndexCostPredictor,
-    points: np.ndarray,
-    workload: KNNWorkload,
-    methods: tuple[str, ...] = ("resampled", "cutoff", "mini"),
-    *,
-    budget: Budget | None = None,
-    task_deadline_s: float | None = None,
-    max_workers: int = 2,
-    seed: int = 0,
-) -> BatchReport:
-    """Run one prediction per method under a single global budget.
-
-    The benchmark harness compares methods side by side; on a flaky or
-    slow configuration one method must not wedge the whole comparison.
-    Each method becomes one :class:`~repro.runtime.batch.BatchTask`;
-    the :class:`~repro.runtime.batch.BatchRunner` enforces the global
-    ``budget`` (wall-clock horizon, observed charged-I/O cap) and the
-    per-method ``task_deadline_s``, so the returned
-    :class:`~repro.runtime.batch.BatchReport` always accounts for every
-    method -- ``ok`` with its result, or an explicit ``over_budget`` /
-    ``failed`` / ``rejected`` verdict.
-    """
-    tasks = [
-        BatchTask(
-            name=method,
-            fn=lambda m=method: predictor.predict(
-                points, workload, method=m, seed=seed
-            ),
-        )
-        for method in methods
-    ]
-    runner = BatchRunner(
-        budget=budget, task_deadline_s=task_deadline_s,
-        max_workers=max_workers,
-    )
-    return runner.run(tasks)
 
 
 def pearson_correlation(predicted: np.ndarray, measured: np.ndarray) -> float:

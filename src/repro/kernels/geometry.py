@@ -130,9 +130,9 @@ class LeafGeometry:
     ``i`` is leaf ``i``); ``n_points`` holds the points actually stored
     in each leaf and ``virtual_n`` the full-dataset points the leaf's
     subtree *would* hold (zero where unknown -- e.g. for synthesized
-    uniform pages).  Instances are immutable values: derived geometries
-    (compensation growth, concatenation) are new objects, so a cached
-    geometry can be shared freely across predictors and sweep cells.
+    uniform pages).  Instances are immutable values: a compensation-grown
+    geometry is a new object, so a cached geometry can be shared freely
+    across predictors and sweep cells.
 
     ``fanouts`` is the optional directory over the rows, bottom-up:
     ``fanouts[0][j]`` consecutive rows are the children of parent
@@ -280,17 +280,3 @@ class LeafGeometry:
         lower, upper = grow_centered(self.lower, self.upper, side_factor)
         return LeafGeometry(lower, upper, self.n_points, self.virtual_n,
                             self.fanouts)
-
-    def concatenated(self, other: "LeafGeometry") -> "LeafGeometry":
-        """The union page set of two geometries of equal dimension, with
-        no directory."""
-        if other.dim != self.dim:
-            raise ValueError(
-                f"cannot concatenate {self.dim}-d and {other.dim}-d geometry"
-            )
-        return LeafGeometry(
-            np.concatenate([self.lower, other.lower]),
-            np.concatenate([self.upper, other.upper]),
-            np.concatenate([self.n_points, other.n_points]),
-            np.concatenate([self.virtual_n, other.virtual_n]),
-        )

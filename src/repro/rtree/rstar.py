@@ -73,13 +73,6 @@ def _margins(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return np.sum(upper - lower, axis=-1)
 
 
-def _overlap(a_lo, a_hi, b_lo, b_hi) -> float:
-    gap = np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo)
-    if np.any(gap <= 0):
-        return 0.0
-    return float(np.prod(gap))
-
-
 def _overlap_sums(
     q_lo: np.ndarray, q_hi: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> np.ndarray:

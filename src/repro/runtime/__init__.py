@@ -1,4 +1,4 @@
-"""Resource governance: budgets, deadlines, breakers, hedging, batches.
+"""Resource governance: budgets, deadlines, breakers, hedging.
 
 The paper predicts index cost *under restricted resources*; this
 package makes the restriction operational for the predictor itself.  A
@@ -8,30 +8,22 @@ phase/chunk/leaf boundaries and converts imminent exhaustion into a
 mid-flight downgrade along the facade's existing fallback chain; a
 :class:`CircuitBreaker` fails disk access fast while a device is
 misbehaving instead of burning the retry budget; :func:`run_hedged`
-races a cheap estimate against the accurate one under a deadline; and
-:class:`BatchRunner` runs sweep workloads with admission control so a
-single pathological cell ends as an explicit ``over_budget`` record,
-never a hang.
+races a cheap estimate against the accurate one under a deadline.
 
 All of it is opt-in and zero-overhead when unused: no budget means no
 governor, no breaker means the charged path is untouched, and an ample
 budget yields bit-identical predictions with zero extra charged I/O.
 """
 
-from .batch import BatchReport, BatchRunner, BatchTask, TaskReport
 from .breaker import CircuitBreaker
 from .budget import Budget
 from .governor import Governor
 from .hedge import HedgeOutcome, run_hedged
 
 __all__ = [
-    "BatchReport",
-    "BatchRunner",
-    "BatchTask",
     "Budget",
     "CircuitBreaker",
     "Governor",
     "HedgeOutcome",
-    "TaskReport",
     "run_hedged",
 ]

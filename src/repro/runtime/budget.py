@@ -28,7 +28,7 @@ __all__ = ["Budget"]
 
 @dataclass(frozen=True)
 class Budget:
-    """Spending limits for one governed prediction (or batch task).
+    """Spending limits for one governed prediction.
 
     ``max_io_ops`` caps charged disk operations (seeks + transfers, the
     ledger's unit); ``max_seconds`` is a wall-clock deadline measured

@@ -94,11 +94,6 @@ class TenantLedger:
 
     # ------------------------------------------------------------------
 
-    @property
-    def inflight(self) -> int:
-        with self._lock:
-            return self._inflight
-
     def remaining_ops(self) -> int | None:
         return self.governor.remaining_ops()
 

@@ -116,22 +116,3 @@ class TestDimensionSweep:
             sweep_index_dimensions(small_data, workload, (0,), memory=500)
         with pytest.raises(ValueError):
             sweep_index_dimensions(small_data, workload, (999,), memory=500)
-
-
-class TestCoalescedSweeps:
-    """A governed measured sweep answers every cell through the same
-    per-cell ``count_knn`` dispatch as the serial sweep."""
-
-    def test_governed_sweep_reads_fused_rows(self, small_data, workload):
-        kwargs = dict(
-            memory=500, page_sizes=(4096, 8192), measure=True,
-            method="mini",
-        )
-        serial = sweep_page_sizes(small_data, workload, **kwargs)
-        governed = sweep_page_sizes(small_data, workload,
-                                    cell_deadline_s=60.0, **kwargs)
-        assert all(p.status == "ok" for p in governed.points)
-        assert [p.measured_accesses for p in governed.points] == [
-            p.measured_accesses for p in serial.points
-        ]
-        assert all(p.measured_accesses is not None for p in governed.points)

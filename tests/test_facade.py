@@ -65,6 +65,19 @@ class TestFacade:
         b = predictor.measure(clustered_points, workload, index=index)
         assert np.array_equal(a.per_query, b.per_query)
 
+    def test_ground_truth_independent_of_memory(self, predictor,
+                                                clustered_points, workload):
+        # M sets how much of the bulk load runs on disk, not the tree:
+        # below one data page, at one page and at ten pages the queries
+        # read the same leaves
+        per_query = [
+            IndexCostPredictor(dim=16, memory=memory, c_data=32, c_dir=16)
+            .measure(clustered_points, workload).per_query
+            for memory in (20, predictor.c_data, 10 * predictor.c_data)
+        ]
+        np.testing.assert_array_equal(per_query[0], per_query[1])
+        np.testing.assert_array_equal(per_query[1], per_query[2])
+
     def test_mini_with_fraction(self, predictor, clustered_points, workload):
         result = predictor.predict(
             clustered_points, workload, method="mini", sampling_fraction=0.5

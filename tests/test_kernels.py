@@ -660,7 +660,7 @@ class TestLeafGeometry:
         tree.invalidate_caches()
         assert tree.leaf_geometry is not before
 
-    def test_directory_carried_by_scaled_dropped_by_concatenated(self):
+    def test_directory_carried_by_scaled(self):
         lower = np.arange(8.0).reshape(4, 2)
         geometry = LeafGeometry(
             lower, lower + 1.0, fanouts=(np.array([3, 1]), np.array([2])))
@@ -674,7 +674,6 @@ class TestLeafGeometry:
         np.testing.assert_array_equal(parents.upper_t.T,
                                       [grown.upper[:3].max(axis=0),
                                        grown.upper[3]])
-        assert geometry.concatenated(geometry).fanouts == ()
 
     @pytest.mark.parametrize("fanouts", [
         (np.array([2, 1]),),            # sums to 3, not 4

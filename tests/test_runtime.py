@@ -1,7 +1,7 @@
 """Tests for the budget-governed runtime layer.
 
-Covers the four pieces of :mod:`repro.runtime` -- budgets/governor,
-circuit breaker, hedged execution, batch admission control -- plus
+Covers the three pieces of :mod:`repro.runtime` -- budgets/governor,
+circuit breaker, hedged execution -- plus
 their integration into the facade: the ample-budget zero-interference
 guarantee (bit-identical estimate, zero extra charged I/O), mid-flight
 downgrade on exhaustion, and the anytime annotation.
@@ -24,8 +24,6 @@ from repro.errors import (
     InputValidationError,
 )
 from repro.runtime import (
-    BatchRunner,
-    BatchTask,
     Budget,
     CircuitBreaker,
     Governor,
@@ -373,118 +371,6 @@ class TestHedge:
             run_hedged(boom, boom, deadline_s=1.0, grace_s=0.1)
 
 
-class TestBatchRunner:
-    def test_all_complete_under_ample_budget(self):
-        runner = BatchRunner(budget=Budget(max_seconds=60.0), max_workers=2)
-        report = runner.run([
-            BatchTask(f"t{i}", lambda i=i: i * i) for i in range(5)
-        ])
-        assert [t.status for t in report.tasks] == ["ok"] * 5
-        assert [t.result for t in report.tasks] == [0, 1, 4, 9, 16]
-        assert report.all_accounted
-
-    def test_failed_task_reported_not_raised(self):
-        def boom():
-            raise ValueError("cell exploded")
-
-        report = BatchRunner(max_workers=1).run([
-            BatchTask("good", lambda: 1), BatchTask("bad", boom),
-        ])
-        by_name = {t.name: t for t in report.tasks}
-        assert by_name["good"].status == "ok"
-        assert by_name["bad"].status == "failed"
-        assert "cell exploded" in by_name["bad"].error
-
-    def test_over_deadline_task_abandoned(self):
-        import threading
-        release = threading.Event()
-
-        def wedge():
-            release.wait(10.0)
-            return "late"
-
-        # Two workers: the wedged cell's abandoned thread must not
-        # stop the healthy cell from running to completion.
-        runner = BatchRunner(task_deadline_s=0.1, max_workers=2)
-        report = runner.run([BatchTask("wedged", wedge),
-                             BatchTask("quick", lambda: 7)])
-        release.set()
-        by_name = {t.name: t for t in report.tasks}
-        assert by_name["wedged"].status == "over_budget"
-        assert by_name["quick"].status == "ok"
-        assert report.all_accounted
-
-    def test_global_io_budget_rejects_later_tasks(self):
-        class Result:
-            io_cost = IOCost(seeks=50, transfers=50)
-
-        runner = BatchRunner(budget=Budget(max_io_ops=10), max_workers=1)
-        report = runner.run([BatchTask("first", Result),
-                             BatchTask("second", Result)])
-        assert report.tasks[0].status == "ok"
-        assert report.tasks[1].status == "rejected"
-        assert "I/O budget exhausted" in report.tasks[1].error
-        assert report.io_ops == 100
-
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(InputValidationError):
-            BatchRunner().run([BatchTask("x", lambda: 1),
-                               BatchTask("x", lambda: 2)])
-
-    def test_io_ledger_read_from_prediction_results(
-        self, points, predictor, workload, reference
-    ):
-        from repro.experiments.runner import run_prediction_grid
-
-        report = run_prediction_grid(
-            predictor, points, workload, methods=("resampled", "mini"),
-            budget=Budget(max_seconds=120.0), max_workers=2, seed=2,
-        )
-        assert {t.status for t in report.tasks} == {"ok"}
-        assert report.io_ops == reference.io_cost.ops  # mini charges none
-
-
-class TestBudgetedSweeps:
-    def test_pagesize_batch_matches_serial(self, points, workload):
-        from repro.apps.pagesize import sweep_page_sizes
-
-        sizes = (4096, 8192, 16384)
-        serial = sweep_page_sizes(points, workload, memory=MEMORY,
-                                  page_sizes=sizes, seed=2)
-        batched = sweep_page_sizes(points, workload, memory=MEMORY,
-                                   page_sizes=sizes, seed=2,
-                                   budget=Budget(max_seconds=120.0))
-        for a, b in zip(serial.points, batched.points):
-            assert b.status == "ok"
-            assert a.predicted_accesses == b.predicted_accesses
-        assert (serial.predicted_optimum.page_bytes
-                == batched.predicted_optimum.page_bytes)
-
-    def test_pagesize_tight_budget_marks_cells(self, points, workload):
-        from repro.apps.pagesize import sweep_page_sizes
-
-        sweep = sweep_page_sizes(points, workload, memory=MEMORY,
-                                 page_sizes=(4096, 8192, 16384), seed=2,
-                                 budget=Budget(max_io_ops=1), max_workers=1)
-        statuses = [p.status for p in sweep.points]
-        assert statuses[0] == "ok"
-        assert set(statuses[1:]) == {"rejected"}
-        optimum = sweep.predicted_optimum
-        assert optimum is not None and optimum.status == "ok"
-
-    def test_dimension_sweep_batch_matches_serial(self, points, workload):
-        from repro.apps.dimensions import sweep_index_dimensions
-
-        serial = sweep_index_dimensions(points, workload, (2, 4, 8),
-                                        memory=MEMORY, seed=2)
-        batched = sweep_index_dimensions(points, workload, (2, 4, 8),
-                                         memory=MEMORY, seed=2,
-                                         budget=Budget(max_seconds=120.0))
-        assert len(batched.completed) == 3
-        for a, b in zip(serial.points, batched.points):
-            assert a.predicted_accesses == b.predicted_accesses
-
-
 class TestFacadeInjectedClock:
     def test_fake_clock_drives_deadline_without_sleeping(
         self, points, predictor, workload
@@ -621,28 +507,3 @@ class TestConcurrencyHammer:
         self._hammer(worker, n_threads)
         assert governor.spent_ops == 3 * rounds * n_threads
         assert governor.phase_spend["hammer"] == 3 * rounds * n_threads
-
-    def test_batch_runner_concurrent_runs_tally(self, points, workload):
-        import threading
-
-        runner = BatchRunner(budget=Budget(max_seconds=600.0))
-        predictor = IndexCostPredictor(dim=DIM, memory=MEMORY)
-
-        def run_once(name: str):
-            tasks = [BatchTask(
-                name=name,
-                fn=lambda: predictor.predict(points, workload,
-                                             method="mini", seed=3),
-            )]
-            runner.run(tasks)
-
-        threads = [
-            threading.Thread(target=run_once, args=(f"task-{i}",))
-            for i in range(4)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert runner.runs_completed == 4
-        assert runner.tasks_run == 4
