@@ -227,10 +227,8 @@ class Replica:
 
     def healthy(self) -> bool:
         """Liveness as the router's health probe sees it."""
-        if self.down or self.service is None:
-            return False
-        snapshot = self.service.metrics()
-        return bool(snapshot["running"]) and snapshot["workers_alive"] > 0
+        service = self.service  # a concurrent retire() nulls it
+        return not self.down and service is not None and service.alive()
 
     # ------------------------------------------------------------------
     # Serving

@@ -516,6 +516,13 @@ def validate_points(points, *, name: str = "points") -> np.ndarray:
         raise InputValidationError(
             f"{name} must be non-empty, got shape {array.shape}"
         )
+    # A finite sum means every coordinate is finite (NaN and inf
+    # propagate), and costs no boolean copy; a sum that overflows falls
+    # through to the element check, which passes an all-finite matrix.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.add.reduce(array, axis=None)
+    if np.isfinite(total):
+        return array
     if not np.isfinite(array).all():
         bad = int(np.count_nonzero(~np.isfinite(array)))
         raise InputValidationError(

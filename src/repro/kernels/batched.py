@@ -10,7 +10,12 @@ prune of the pairs whose partial squared mindist exceeds the squared
 radius.  A small dispatch therefore costs a few numpy calls per block,
 not a dozen per dimension.  The tile height is chosen so the dense pass
 never materializes more than ``memory_cap_bytes`` of temporaries, and
-each block is narrowed so its temporaries fit the same budget.  That
+each block is narrowed so its temporaries fit the same budget.  Once
+the rest of the surviving pairs' dimensions are small -- at most
+``_ONE_BLOCK_PAIR_DIMS`` pair-dimensions, within the budget -- they go
+in one block: a cluster leg (about 16 queries against 15-25 leaves in
+48 d) then takes one block after the dense pass instead of six, while
+a larger dispatch keeps doubling.  That
 budget is the tile's working set, sized by default to a core's cache
 (2 MiB) rather than to main memory: the dense pass and every block's
 slabs then stay cache-resident instead of streaming through memory,
@@ -77,6 +82,14 @@ MEMORY_CAP_ENV_VAR = "REPRO_KERNEL_CAP_BYTES"
 # mask, and nonzero's scratch); the tile height is sized against that,
 # and a dimension block's width against the same budget per element.
 _BUFFERS_PER_PAIR = 6
+
+# The most pair-dimensions the rest of a walk may hold to be folded in
+# one block: one 128 KiB float64 slab per operand.  Below it, a block
+# saved (a dozen numpy calls) outweighs the adds spent on pairs a later
+# prune would have dropped; above it, on served 24-query dispatches,
+# the doubling blocks timed as fast or faster (docs/PERFORMANCE.md,
+# section 14).
+_ONE_BLOCK_PAIR_DIMS = 1 << 14
 
 
 def memory_cap_from_env() -> int:
@@ -270,7 +283,8 @@ class NumpyBatchedKernel:
         ``pairs`` is ``[rows, cols, dist_sq, bound, *riders]``; every
         column is pruned together.  The remaining dimensions go in
         doubling blocks: one gather per operand, the block's squared
-        gaps folded in dimension by dimension, then one prune.
+        gaps folded in dimension by dimension, then one prune; once the
+        rest is small, it goes in one block (:meth:`_block_stop`).
         """
         rows, cols, dist_sq, bound = pairs[:4]
         n_dims = queries_t.shape[0]
@@ -300,9 +314,22 @@ class NumpyBatchedKernel:
     def _block_stop(
         self, start: int, width: int, n_dims: int, n_pairs: int
     ) -> int:
-        """End of the dimension block from ``start``: ``width`` wide,
-        narrowed so its ``(width, n_pairs)`` temporaries fit the cap."""
+        """End of the dimension block from ``start``.
+
+        Blocks double, 1, 2, 4, ... wide, and the budget bounds each:
+        a block is narrowed so its ``(width, n_pairs)`` temporaries fit
+        the cap.  Once the rest, ``n_dims - start`` dimensions over
+        ``n_pairs`` pairs, fits the cap and is at most
+        ``_ONE_BLOCK_PAIR_DIMS`` pair-dimensions, the block takes it
+        all: each block saved is a dozen numpy calls, and the adds spent
+        on pairs a skipped prune would have dropped are few.  Skipping a
+        prune never changes a count, since partial sums only grow and
+        the last block still prunes.
+        """
         fits = self.memory_cap_bytes // (n_pairs * 8 * _BUFFERS_PER_PAIR)
+        rest = n_dims - start
+        if fits >= rest and n_pairs * rest <= _ONE_BLOCK_PAIR_DIMS:
+            return n_dims
         return min(n_dims, start + max(1, min(width, fits)))
 
     # -- fused grid ------------------------------------------------------

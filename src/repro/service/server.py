@@ -891,6 +891,15 @@ class PredictionService:
     # Introspection
     # ------------------------------------------------------------------
 
+    def alive(self) -> bool:
+        """Running with at least one live worker: the cluster health
+        probe's verdict, read under the service lock without building a
+        :meth:`metrics` snapshot (``running`` and ``workers_alive > 0``
+        there)."""
+        with self._lock:
+            return self._running and any(
+                thread.is_alive() for thread in self._threads)
+
     def metrics(self) -> dict:
         """One *consistent* snapshot of the whole service's books.
 
@@ -901,8 +910,7 @@ class PredictionService:
         ``shed_overload`` from after).  ``uptime_s`` is monotonic time
         since :meth:`start` (frozen at :meth:`stop`, ``0.0`` before the
         first start), and ``worker_liveness`` maps each worker thread's
-        name to whether it is currently alive -- the cluster health
-        probe keys off both.
+        name to whether it is currently alive.
         """
         with self._lock:
             tenants = {

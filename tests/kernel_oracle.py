@@ -5,7 +5,9 @@
 block.  This is the walk it replaced, untiled: one dense pass over
 dimension 0, then every further dimension gathered, added and pruned on
 its own.  The block walk must match it bit for bit -- the same pairs in
-the same ``(row, col)`` order with the same ``dist_sq``.
+the same ``(row, col)`` order with the same ``dist_sq``, and the same
+``ancestor_sq`` as a direct per-dimension measurement of each pair's
+directory ancestors.
 """
 
 from __future__ import annotations
@@ -63,3 +65,33 @@ def count_range_by_stream(
         )
         rows, cols = rows[keep], cols[keep]
     return np.bincount(rows, minlength=q_lower.shape[0]).astype(np.int64)
+
+
+def ancestor_sq_by_stream(
+    geometry: LeafGeometry, queries: np.ndarray, rows: np.ndarray,
+    cols: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """For each pair ``(rows[i], cols[i])``, the squared mindist from
+    the query to the leaf's ancestor at each directory level, top-down.
+
+    Each level's boxes are the unions of its children's, built here
+    bottom-up from ``geometry.fanouts``; the sums run one dimension at
+    a time from j = 0, as the kernels' do.
+    """
+    queries = np.asarray(queries, dtype=np.float64)
+    lower, upper, ancestor = geometry.lower, geometry.upper, cols
+    point = queries[rows]
+    found = []
+    for fanout in geometry.fanouts:
+        first = np.cumsum(fanout) - fanout
+        lower = np.minimum.reduceat(lower, first, axis=0)
+        upper = np.maximum.reduceat(upper, first, axis=0)
+        ancestor = np.repeat(np.arange(fanout.shape[0]), fanout)[ancestor]
+        dist_sq = np.zeros(rows.shape[0])
+        for j in range(queries.shape[1]):
+            gap_j = np.maximum(lower[ancestor, j] - point[:, j], 0.0)
+            gap_j += np.maximum(point[:, j] - upper[ancestor, j], 0.0)
+            gap_j *= gap_j
+            dist_sq += gap_j
+        found.append(dist_sq)
+    return tuple(reversed(found))

@@ -136,6 +136,23 @@ class TestReplica:
             before.result.per_query, after.result.per_query
         )
 
+    def test_healthy_follows_the_service(self, cluster):
+        """Up while its service runs a live worker; down once the
+        service stops (even without a kill), is killed or is retired."""
+        name = cluster.router.table.owners_of(0)[0]
+        replica = cluster.replicas[name]
+        assert replica.healthy() and replica.service.alive()
+        replica.service.stop()
+        assert not replica.down and not replica.healthy()
+        replica.service.start()
+        assert replica.healthy()
+        replica.kill()
+        assert not replica.healthy()
+        replica.restart()
+        assert replica.healthy()
+        replica.retire()
+        assert replica.service is None and not replica.healthy()
+
     def test_kill_folds_charged_ops(self, cluster):
         workload = cluster._remap(
             0, cluster.partition.split(cluster.make_workload(6, 4))[0][2]

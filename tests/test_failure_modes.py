@@ -11,6 +11,8 @@ methods.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,7 @@ from repro.errors import (
     ReproError,
     TornWriteError,
     TransientReadError,
+    validate_points,
 )
 from repro.ondisk.builder import OnDiskBuilder
 from repro.ondisk.measure import measure_knn
@@ -192,6 +195,36 @@ class TestHostileInputs:
         # InputValidationError is also a ValueError for old callers.
         assert issubclass(InputValidationError, ValueError)
         assert issubclass(InputValidationError, ReproError)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_validate_points_counts_non_finite(self, bad):
+        points = np.ones((40, 3))
+        points[4, 1] = bad
+        with pytest.raises(InputValidationError,
+                           match=r"^pts contains 1 non-finite coordinate "
+                                 r"\(NaN or inf\)$"):
+            validate_points(points, name="pts")
+        points[7] = bad
+        with pytest.raises(InputValidationError,
+                           match="contains 4 non-finite coordinates"):
+            validate_points(points, name="pts")
+
+    def test_validate_points_inf_and_minus_inf_count_both(self):
+        points = np.zeros((5, 2))
+        points[0, 0], points[3, 1] = np.inf, -np.inf
+        with pytest.raises(InputValidationError,
+                           match="contains 2 non-finite coordinates"):
+            validate_points(points)
+
+    def test_validate_points_passes_finite_matrix_whose_sum_overflows(self):
+        huge = np.finfo(np.float64).max
+        points = np.full((6, 4), huge)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.add.reduce(points, axis=None))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            checked = validate_points(points)
+        assert checked is points
 
     def test_mismatched_workload_dimension(self, clustered_points):
         workload = KNNWorkload(

@@ -26,6 +26,7 @@ from repro.cli import main
 from repro.core.dynamic import DynamicMiniIndexModel
 from repro.core.kdb_model import KDBMiniIndexModel
 from repro.core.predictor import IndexCostPredictor
+from repro.data import generators
 from repro.errors import InputValidationError, UnknownKernelError
 from repro.kernels import (
     DEFAULT_KERNEL,
@@ -42,9 +43,14 @@ from repro.kernels import (
 )
 from repro.kernels.geometry import live_fanouts, ordered_sum_sq
 from repro.kernels.reference import ReferenceKernel
-from repro.workload.queries import KNNWorkload, RangeWorkload
+from repro.rtree.tree import RTree
+from repro.workload.queries import KNNWorkload, RangeWorkload, exact_knn_radii
 
-from .kernel_oracle import count_range_by_stream, knn_pairs_by_stream
+from .kernel_oracle import (
+    ancestor_sq_by_stream,
+    count_range_by_stream,
+    knn_pairs_by_stream,
+)
 
 FAST = ["--dataset", "TEXTURE48", "--scale", "0.05", "--queries", "10",
         "--memory", "500"]
@@ -92,6 +98,21 @@ def _random_case(seed: int, k: int, d: int, n_queries: int):
     )
     half[gen.random((n_queries, d)) < 0.2 / d] = 0.0
     return geometry, queries, radii, centre - half, centre + half
+
+
+class _BlockLog(NumpyBatchedKernel):
+    """The batched kernel, logging each dimension block it takes as
+    ``(start, stop)`` and the pairs the block starts with."""
+
+    def __init__(self, memory_cap_bytes=None):
+        super().__init__(memory_cap_bytes)
+        self.blocks, self.n_pairs = [], []
+
+    def _block_stop(self, start, width, n_dims, n_pairs):
+        stop = super()._block_stop(start, width, n_dims, n_pairs)
+        self.blocks.append((start, stop))
+        self.n_pairs.append(n_pairs)
+        return stop
 
 
 class TestKernelEquivalence:
@@ -239,26 +260,56 @@ class TestBlockWalk:
         )
 
     def test_block_temporaries_stay_under_cap(self):
-        """Every pair survives to the last dimension, so the cap -- room
-        for 8-wide blocks over all pairs -- and not the doubling
-        schedule bounds the later blocks."""
+        """Every pair survives to the last dimension.  With room for
+        8-wide blocks over 16 x 256 pairs, the cap -- not the doubling
+        schedule -- bounds the later blocks; with room for exactly the
+        69 dimensions after the dense pass over 4 x 32 pairs, the rest
+        go in one block right at the cap."""
         gen = np.random.default_rng(0)
-        k, d, n_queries = 256, 70, 16
-        lower = gen.random((k, d))
-        geometry = LeafGeometry.from_corners(lower, lower + 0.1)
-        queries = gen.random((n_queries, d))
-        radii = np.full(n_queries, float(d))
-        cap = 8 * 6 * 8 * n_queries * k
-        kernel = NumpyBatchedKernel(memory_cap_bytes=cap)
-        geometry.lower_t, geometry.upper_t  # cached before the trace
-        tracemalloc.start()
-        try:
-            counts = kernel.count_knn(geometry, queries, radii)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert (counts == k).all()
-        assert peak <= cap, f"peak {peak:,} bytes over the {cap:,} cap"
+        d = 70
+        for k, n_queries, width, widths in (
+            (256, 16, 8, [1, 2, 4] + [8] * 7 + [6]),
+            (32, 4, d - 1, [d - 1]),
+        ):
+            lower = gen.random((k, d))
+            geometry = LeafGeometry.from_corners(lower, lower + 0.1)
+            queries = gen.random((n_queries, d))
+            radii = np.full(n_queries, float(d))
+            cap = width * 6 * 8 * n_queries * k
+            kernel = _BlockLog(memory_cap_bytes=cap)
+            geometry.lower_t, geometry.upper_t  # cached before the trace
+            tracemalloc.start()
+            try:
+                counts = kernel.count_knn(geometry, queries, radii)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert (counts == k).all()
+            assert peak <= cap, f"peak {peak:,} bytes over the {cap:,} cap"
+            assert [stop - start for start, stop in kernel.blocks] == widths
+
+    def test_cluster_leg_takes_one_block(self):
+        """A cluster leg's shape -- 16 queries against 16 leaves of a
+        48-d tree, exact 21-NN radii -- folds its 47 dimensions after
+        the dense pass in one block; under a cap one byte short of them
+        it doubles from width 1 again."""
+        gen = np.random.default_rng(0)
+        points = generators.gaussian_mixture(320, 48, gen, n_clusters=8,
+                                             cluster_std=0.05)
+        geometry = RTree.bulk_load(points, 20, 16).leaf_geometry
+        assert geometry.k == 16
+        queries = points[gen.choice(320, 16, replace=False)]
+        radii = exact_knn_radii(points, queries, 21)
+        expected = get_kernel("reference").count_knn(geometry, queries, radii)
+        kernel = _BlockLog(memory_cap_bytes=DEFAULT_MEMORY_CAP_BYTES)
+        np.testing.assert_array_equal(
+            kernel.count_knn(geometry, queries, radii), expected)
+        assert kernel.blocks == [(1, 48)]
+        n_pairs, = kernel.n_pairs
+        tight = _BlockLog(memory_cap_bytes=47 * 6 * 8 * n_pairs - 1)
+        np.testing.assert_array_equal(
+            tight.count_knn(geometry, queries, radii), expected)
+        assert tight.blocks[0] == (1, 2)
 
 
 class TestFusedGrid:
@@ -833,3 +884,57 @@ class TestDirectoryCounting:
             tracemalloc.stop()
         assert (counts == k).all()
         assert peak <= 5 * cap, f"peak {peak:,} bytes, cap {cap:,}"
+
+
+class TestOneBlockFold:
+    """Folding the rest of a walk in one block keeps every output
+    byte-equal to the per-dimension stream (``tests/kernel_oracle.py``),
+    on tiny geometries like a cluster leg's and at caps on both sides of
+    the one-block fit."""
+
+    @given(
+        st.integers(0, 10_000),
+        st.integers(1, 32),
+        st.one_of(st.integers(1, 360),
+                  st.sampled_from(BLOCK_EDGES + (48, 60, 128, 129, 360))),
+        st.integers(1, 16),
+        st.integers(0, 3),
+        st.one_of(st.sampled_from([-1, 0, 1]).map(lambda o: ("fit", o)),
+                  CAPS.map(lambda c: ("cap", c))),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_tiny_geometries_match_stream_oracle(
+        self, seed, k, d, n_queries, n_levels, cap
+    ):
+        gen = np.random.default_rng(seed)
+        geometry, queries, radii, q_lower, q_upper = _random_case(
+            seed, k, d, n_queries)
+        order = np.argsort(geometry.lower[:, 0], kind="stable")
+        flat = LeafGeometry(geometry.lower[order], geometry.upper[order])
+        directory = LeafGeometry(flat.lower, flat.upper,
+                                 fanouts=_random_directory(gen, k, n_levels))
+        bound_sq = radii * radii
+        kind, value = cap
+        if kind == "fit":
+            # the cap that the default walk's first block to reach
+            # dimension d, over the pairs it starts with, just fits
+            probe = _BlockLog()
+            probe.knn_pairs(directory, queries, bound_sq)
+            spans = [(d - start) * n for (start, stop), n
+                     in zip(probe.blocks, probe.n_pairs) if stop == d]
+            value = max(1, 6 * 8 * spans[0] + value) if spans else 1 << 21
+        kernel = NumpyBatchedKernel(memory_cap_bytes=value)
+
+        rows, cols, dist_sq, ancestor_sq = kernel.knn_pairs(
+            directory, queries, bound_sq)
+        for got, want in zip((rows, cols, dist_sq), knn_pairs_by_stream(
+                flat, queries, bound_sq), strict=True):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        want_sq = ancestor_sq_by_stream(directory, queries, rows, cols)
+        assert len(ancestor_sq) == len(directory.fanouts)
+        for got, want in zip(ancestor_sq, want_sq, strict=True):
+            assert got.tobytes() == want.tobytes()
+        counts = kernel.count_range(flat, q_lower, q_upper)
+        assert counts.tobytes() == count_range_by_stream(
+            flat, q_lower, q_upper).tobytes()

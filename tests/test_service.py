@@ -452,6 +452,37 @@ class TestPredictionService:
             assert healthy.status == "ok"
         assert service.workers_respawned >= 1
 
+    def test_alive_gives_the_metrics_verdict(self, points, workload):
+        """``alive()`` is ``running and workers_alive > 0`` of a
+        :meth:`metrics` snapshot, through the whole lifecycle."""
+
+        def verdict(service) -> bool:
+            snapshot = service.metrics()
+            return snapshot["running"] and snapshot["workers_alive"] > 0
+
+        def hook(item) -> None:
+            if item.pending.request_id == 1:
+                raise WorkerDeath("chaos")
+
+        service = PredictionService(workers=1, pre_request_hook=hook)
+        service.register_tenant("t", points)
+        assert service.alive() is verdict(service) is False  # not started
+        service.start()
+        assert service.alive() is verdict(service) is True
+        killed = service.request("t", workload, timeout=30.0)
+        assert killed.error_type == "WorkerDeath"
+        # the dying worker hands over to its replacement first
+        assert service.alive() is verdict(service) is True
+        # a worker that died with no replacement yet leaves none alive
+        corpse = threading.Thread(target=lambda: None)
+        corpse.start()
+        corpse.join()
+        live, service._threads[:] = list(service._threads), [corpse]
+        assert service.alive() is verdict(service) is False
+        service._threads[:] = live
+        service.stop()
+        assert service.alive() is verdict(service) is False
+
     def test_stop_resolves_queued_requests(self, points, workload):
         gate = threading.Event()
         picked = threading.Event()
